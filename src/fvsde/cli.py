@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FvsdeError, SolverError
-from .mesh import build_tensor_mesh, validate_admissibility
+from .mesh import build_tensor_mesh, refine, validate_admissibility
 from .projections import SmoothFunctionSpec, projection_error_report
 from .reporting import (RunManifest, fmt, property_report_text,
                         rate_report_csv, rate_report_summary, svg_loglog,
@@ -260,8 +260,6 @@ def _projection_spec() -> SmoothFunctionSpec:
 
 
 def _run_projections(config: StudyConfig, out_dir: str) -> list[str]:
-    from .mesh import refine
-
     meshes = [build_tensor_mesh(((0.0, 1.0), (0.0, 1.0)), config.mesh)]
     for _ in range(config.levels - 1):
         meshes.append(refine(meshes[-1]))

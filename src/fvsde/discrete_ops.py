@@ -23,23 +23,22 @@ from scipy.sparse.linalg import splu
 
 from .errors import MeshError, SolverError
 from .fields import CellField
-from .mesh import TensorMesh, gauss_rule, QUADRATURE_ORDER
+from .mesh import TensorMesh, cell_average, gauss_rule, QUADRATURE_ORDER
 
 __all__ = [
     "EdgeVelocity",
     "TpfaOperator",
     "discrete_l2_norm",
-    "l2_inner",
     "mass",
     "discrete_h1_seminorm",
     "apply_tpfa_laplacian",
     "edge_velocity",
-    "zero_edge_velocity",
     "upwind_cells",
     "upwind_trace",
     "dibp_row_form",
     "dibp_edge_form",
     "dibp_gap",
+    "grounded_solver",
     "poincare_constant_estimate",
     "l2_error_vs_function",
 ]
@@ -89,10 +88,6 @@ def discrete_l2_norm(field: CellField) -> float:
     return float(np.sqrt(np.sum(field.mesh.measures * field.values**2)))
 
 
-def l2_inner(a: CellField, b: CellField) -> float:
-    return float(np.sum(a.mesh.measures * a.values * b.values))
-
-
 def mass(field: CellField) -> float:
     """int_Lambda w_h = sum_K m_K w_K."""
     return float(np.sum(field.mesh.measures * field.values))
@@ -111,11 +106,6 @@ def apply_tpfa_laplacian(field: CellField, op: TpfaOperator | None = None) -> Ce
     if op is None:
         op = TpfaOperator(field.mesh)
     return CellField(field.mesh, op.laplacian_values(field.values))
-
-
-def zero_edge_velocity(mesh: TensorMesh, t_start: float = 0.0,
-                       t_end: float = 1.0) -> EdgeVelocity:
-    return EdgeVelocity(mesh, t_start, t_end, np.zeros(mesh.n_interior_edges))
 
 
 def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
@@ -199,6 +189,20 @@ def dibp_gap(w: CellField, v: CellField) -> float:
     return abs(dibp_row_form(w, v) - dibp_edge_form(w, v))
 
 
+def grounded_solver(op: TpfaOperator) -> Callable[[np.ndarray], np.ndarray]:
+    """Direct solver for A x = b with A the TPFA stiffness and sum(b) = 0.
+
+    The kernel of A is the constants, so grounding the first unknown (x_0 = 0,
+    first row and column dropped) leaves a definite system; it is factorized
+    once and the returned function solves it for any compatible b.
+    """
+    try:
+        lu = splu(op.stiffness.tocsc()[1:, 1:])
+    except RuntimeError as exc:  # pragma: no cover - singular submatrix
+        raise SolverError(f"stiffness factorization failed: {exc}") from exc
+    return lambda b: np.concatenate([[0.0], lu.solve(b[1:])])
+
+
 def poincare_constant_estimate(mesh: TensorMesh, tol: float = 1e-8,
                                max_iterations: int = 500,
                                seed: int = 0) -> float:
@@ -212,11 +216,7 @@ def poincare_constant_estimate(mesh: TensorMesh, tol: float = 1e-8,
     if mesh.n_cells < 2:
         raise ValueError("need at least 2 cells")
     op = TpfaOperator(mesh)
-    a = op.stiffness.tocsc()
-    try:
-        lu = splu(a[1:, 1:])
-    except RuntimeError as exc:  # pragma: no cover - singular submatrix
-        raise SolverError(f"stiffness factorization failed: {exc}") from exc
+    solve = grounded_solver(op)
     m = mesh.measures
     dom = float(m.sum())
     rng = np.random.default_rng(seed)
@@ -225,7 +225,7 @@ def poincare_constant_estimate(mesh: TensorMesh, tol: float = 1e-8,
     quotient = None
     for _ in range(max_iterations):
         b = m * w
-        y = np.concatenate([[0.0], lu.solve(b[1:])])
+        y = solve(b)
         y -= np.dot(m, y) / dom
         ay = op.apply(y)
         denom = float(np.dot(y, ay))
@@ -247,16 +247,7 @@ def l2_error_vs_function(field: CellField, fn: Callable[[np.ndarray], np.ndarray
                          order: int = QUADRATURE_ORDER) -> float:
     """True L2 distance between a smooth function and a cell field, by
     per-cell tensor Gauss quadrature of (fn - w_K)^2."""
-    mesh = field.mesh
-    gx, gw = gauss_rule(order)
-    sps = mesh.spacings
-    pts = [mesh.nodes[a][:-1][:, None] + sps[a][:, None] * gx[None, :]
-           for a in range(mesh.dimension)]
-    acc = np.zeros(mesh.n_cells)
-    for combo in np.ndindex(*([order] * mesh.dimension)):
-        axes = [pts[a][:, combo[a]] for a in range(mesh.dimension)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        x = np.stack([g.ravel() for g in grids], axis=1)
-        w = np.prod([gw[c] for c in combo])
-        acc += w * (np.asarray(fn(x), dtype=float) - field.values) ** 2
-    return float(np.sqrt(np.sum(mesh.measures * acc)))
+    sq = cell_average(
+        lambda x: (np.asarray(fn(x), dtype=float) - field.values) ** 2,
+        field.mesh, order)
+    return float(np.sqrt(np.sum(field.mesh.measures * sq.values)))

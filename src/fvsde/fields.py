@@ -33,9 +33,5 @@ class CellField:
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
 
-    def with_values(self, values: np.ndarray) -> "CellField":
-        """Same mesh, new values."""
-        return CellField(self.mesh, values)
-
     def __len__(self) -> int:
         return self.values.shape[0]

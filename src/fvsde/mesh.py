@@ -7,8 +7,7 @@ face sigma = K|L, the measure m_sigma, the center distance d_KL and the unit
 normal oriented K -> L; boundary faces are kept for validation only (the
 schemes in this package assign them zero flux).
 
-Cell data is held in flat numpy arrays (structure-of-arrays); per-entity
-dataclass views are materialized lazily for inspection and JSON export.
+Cell and face data is held in flat numpy arrays (structure-of-arrays).
 Meshes are immutable after construction and safe to share across threads
 and processes.
 """
@@ -26,9 +25,6 @@ from .errors import MeshError
 from .fields import CellField
 
 __all__ = [
-    "Cell",
-    "InteriorEdge",
-    "BoundaryEdge",
     "TensorMesh",
     "AdmissibilityReport",
     "build_tensor_mesh",
@@ -52,34 +48,6 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class Cell:
-    index: int
-    center: np.ndarray
-    measure: float
-    diameter: float
-    edge_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class InteriorEdge:
-    index: int
-    cells: tuple[int, int]
-    measure: float
-    distance: float
-    normal: np.ndarray
-    axis: int
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryEdge:
-    index: int
-    cell: int
-    measure: float
-    normal: np.ndarray
-    axis: int
-
-
-@dataclass(frozen=True, eq=False)
 class TensorMesh:
     """Admissible tensor-product mesh on an axis-aligned box."""
 
@@ -94,7 +62,6 @@ class TensorMesh:
     edge_cells: np.ndarray                 # (n_edges, 2) int, oriented K -> L
     edge_measures: np.ndarray              # (n_edges,)
     edge_distances: np.ndarray             # (n_edges,)  d_KL
-    edge_normals: np.ndarray               # (n_edges, d), n_{K,sigma}
     edge_axis: np.ndarray                  # (n_edges,) int
     edge_planes: np.ndarray                # (n_edges,) interface coordinate
     edge_lower: np.ndarray                 # (n_edges, d) face box, zero extent on axis
@@ -103,8 +70,6 @@ class TensorMesh:
     bedge_measures: np.ndarray
     bedge_normals: np.ndarray              # (n_bedges, d), outward
     bedge_axis: np.ndarray
-    bedge_lower: np.ndarray
-    bedge_upper: np.ndarray
 
     # -- basic quantities -------------------------------------------------
 
@@ -150,71 +115,10 @@ class TensorMesh:
         """m_sigma / d_KL per interior edge."""
         return self.edge_measures / self.edge_distances
 
-    # -- entity views ------------------------------------------------------
-
     @cached_property
-    def _cell_edge_ids(self) -> tuple[tuple[int, ...], ...]:
-        lists: list[list[int]] = [[] for _ in range(self.n_cells)]
-        for j in range(self.n_interior_edges):
-            k, l = self.edge_cells[j]
-            lists[k].append(j)
-            lists[l].append(j)
-        offset = self.n_interior_edges
-        for j in range(self.n_boundary_edges):
-            lists[self.bedge_cells[j]].append(offset + j)
-        return tuple(tuple(ids) for ids in lists)
-
-    @cached_property
-    def cells(self) -> tuple[Cell, ...]:
-        ids = self._cell_edge_ids
-        return tuple(
-            Cell(i, self.centers[i], float(self.measures[i]),
-                 float(self.diameters[i]), ids[i])
-            for i in range(self.n_cells)
-        )
-
-    @cached_property
-    def interior_edges(self) -> tuple[InteriorEdge, ...]:
-        return tuple(
-            InteriorEdge(j, (int(self.edge_cells[j, 0]), int(self.edge_cells[j, 1])),
-                         float(self.edge_measures[j]), float(self.edge_distances[j]),
-                         self.edge_normals[j], int(self.edge_axis[j]))
-            for j in range(self.n_interior_edges)
-        )
-
-    @cached_property
-    def boundary_edges(self) -> tuple[BoundaryEdge, ...]:
-        return tuple(
-            BoundaryEdge(j, int(self.bedge_cells[j]), float(self.bedge_measures[j]),
-                         self.bedge_normals[j], int(self.bedge_axis[j]))
-            for j in range(self.n_boundary_edges)
-        )
-
-    def edge_quadrature(self, edge_index: int,
-                        order: int = None) -> tuple[np.ndarray, np.ndarray]:
-        """Tensor Gauss rule on one interior face: (points, weights).
-
-        Points have shape (order^(d-1), d) and lie in the face; weights sum
-        to the face measure, so dot(weights, f(points)) integrates f over
-        the face (exactly for degree 2*order - 1 per tangential axis).
-        """
-        if order is None:
-            order = QUADRATURE_ORDER
-        gx, gw = gauss_rule(order)
-        axis = int(self.edge_axis[edge_index])
-        lo = self.edge_lower[edge_index]
-        ext = self.edge_upper[edge_index] - lo
-        tang = [b for b in range(self.dimension) if b != axis]
-        n_pts = order ** len(tang)
-        points = np.empty((n_pts, self.dimension))
-        points[:, axis] = self.edge_planes[edge_index]
-        weights = np.full(n_pts, self.edge_measures[edge_index])
-        for i, combo in enumerate(np.ndindex(*([order] * len(tang)))):
-            for t_axis, c in zip(tang, combo):
-                points[i, t_axis] = lo[t_axis] + ext[t_axis] * gx[c]
-            for c in combo:
-                weights[i] *= gw[c]
-        return points, weights
+    def edge_normals(self) -> np.ndarray:
+        """(n_edges, d) unit normals n_{K,sigma}, oriented K -> L."""
+        return np.eye(self.dimension)[self.edge_axis]
 
     # -- export ------------------------------------------------------------
 
@@ -382,34 +286,22 @@ def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
         edge_planes = np.zeros(0)
         edge_lower = np.zeros((0, d))
         edge_upper = np.zeros((0, d))
-    edge_normals = np.zeros((edge_cells.shape[0], d))
-    if edge_cells.shape[0]:
-        edge_normals[np.arange(edge_cells.shape[0]), edge_axis] = 1.0
 
     # boundary faces
-    b_cells, b_meas, b_norm, b_axis, b_low, b_up = [], [], [], [], [], []
+    b_cells, b_meas, b_norm, b_axis = [], [], [], []
     for a in range(d):
         shape = tuple(1 if b == a else c for b, c in enumerate(counts))
         meas = _broadcast_product(sps, shape, skip_axis=a).ravel()
-        for side, idx, plane, sign in (
-            (0, 0, nodes[a][0], -1.0),
-            (1, counts[a] - 1, nodes[a][-1], +1.0),
-        ):
+        for idx, sign in ((0, -1.0), (counts[a] - 1, +1.0)):
             sl = [slice(None)] * d
             sl[a] = slice(idx, idx + 1)
             cells_here = cell_index[tuple(sl)].ravel()
-            low = cell_lower[cells_here].copy()
-            up = cell_upper[cells_here].copy()
-            low[:, a] = plane
-            up[:, a] = plane
             nrm = np.zeros((cells_here.shape[0], d))
             nrm[:, a] = sign
             b_cells.append(cells_here)
             b_meas.append(meas)
             b_norm.append(nrm)
             b_axis.append(np.full(cells_here.shape[0], a, dtype=np.int64))
-            b_low.append(low)
-            b_up.append(up)
 
     return TensorMesh(
         dimension=d,
@@ -423,7 +315,6 @@ def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
         edge_cells=edge_cells,
         edge_measures=edge_measures,
         edge_distances=edge_distances,
-        edge_normals=edge_normals,
         edge_axis=edge_axis,
         edge_planes=edge_planes,
         edge_lower=edge_lower,
@@ -432,8 +323,6 @@ def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
         bedge_measures=np.concatenate(b_meas),
         bedge_normals=np.concatenate(b_norm, axis=0),
         bedge_axis=np.concatenate(b_axis),
-        bedge_lower=np.concatenate(b_low, axis=0),
-        bedge_upper=np.concatenate(b_up, axis=0),
     )
 
 

@@ -12,14 +12,10 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .discrete_ops import discrete_h1_seminorm, discrete_l2_norm
-from .fields import CellField
-from .scheme import Trajectory
 from .study import PropertyReport, RateReport
 
-__all__ = ["fmt", "rate_report_csv", "rate_report_summary", "field_to_csv",
-           "trajectory_summary_csv", "svg_loglog", "RunManifest",
-           "write_text", "write_manifest"]
+__all__ = ["fmt", "rate_report_csv", "rate_report_summary", "svg_loglog",
+           "RunManifest", "write_text", "write_manifest"]
 
 
 def fmt(value: float) -> str:
@@ -55,31 +51,6 @@ def rate_report_summary(report: RateReport) -> dict:
         ],
         "metadata": report.metadata,
     }
-
-
-def field_to_csv(field: CellField) -> str:
-    """Cell index, center coordinates and value, one line per control volume."""
-    d = field.mesh.dimension
-    header = "cell," + ",".join(f"x{a + 1}" for a in range(d)) + ",value"
-    lines = [header]
-    for i, value in enumerate(field.values):
-        coords = ",".join(fmt(c) for c in field.mesh.centers[i])
-        lines.append(f"{i},{coords},{fmt(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_summary_csv(traj: Trajectory) -> str:
-    """Per-step norms and solver metadata of one trajectory."""
-    lines = ["step,time,l2_norm,h1_seminorm,newton_iterations,residual"]
-    for n in range(traj.n_steps + 1):
-        state = traj.field(n)
-        iters = traj.newton_iterations[n - 1] if n else 0
-        resid = traj.residual_norms[n - 1] if n else 0.0
-        lines.append(",".join([
-            str(n), fmt(traj.grid.nodes[n]), fmt(discrete_l2_norm(state)),
-            fmt(discrete_h1_seminorm(state)), str(iters), fmt(resid),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def property_report_text(report: PropertyReport) -> str:

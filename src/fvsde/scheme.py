@@ -18,9 +18,10 @@ for the whole trajectory.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,18 +99,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class StepperParams:
-    """Newton and linear-solve settings.
+    """Newton settings.
 
     The residual norm is sqrt(sum_K R_K^2 / m_K), compared against
     newton_tol * max(1, ||u^{n-1}||_2).  Linear systems use a direct sparse
-    factorization; linear_tol is retained as the contract bound for any
-    iterative replacement.  tau * L_beta above `stability_margin` triggers a
+    factorization.  tau * L_beta above `stability_margin` triggers a
     StabilityWarning (solvability of the implicit reaction term).
     """
 
     newton_tol: float = 1e-11
     max_newton_iterations: int = 30
-    linear_tol: float = 1e-12
     stability_margin: float = 0.5
 
 
@@ -266,7 +265,8 @@ def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
 
     The path's fine increments are block-summed onto the grid (the grid step
     count must divide the path resolution), u_h^0 is the cell average of u0,
-    and each step advances by Newton.  Step failures abort the path and carry
+    and each step advances by Newton.  A time-dependent velocity is averaged
+    over each step's own interval.  Step failures abort the path and carry
     the failing step index.
     """
     params = params or StepperParams()
@@ -281,36 +281,33 @@ def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
     u0 = cell_average(problem.u0, mesh).values
 
     if problem.velocity is None or problem.velocity_time_independent:
-        ws = build_workspace(problem, mesh, grid.tau, tpfa)
-        states, iterations, residuals = integrate_workspace(
-            ws, u0, increments, params)
+        workspaces = itertools.repeat(
+            build_workspace(problem, mesh, grid.tau, tpfa))
     else:
-        states = np.empty((grid.n_steps + 1, mesh.n_cells))
-        states[0] = u0
-        iterations, residuals = [], []
         nodes = grid.nodes
-        for n in range(1, grid.n_steps + 1):
-            ev = ops.edge_velocity(problem.velocity, mesh,
-                                   nodes[n - 1], nodes[n])
-            step_ws = StepWorkspace(problem, mesh, grid.tau, ev, tpfa)
-            try:
-                u, it, rnorm = step_ws.advance(states[n - 1],
-                                               increments[n - 1], params)
-            except StepFailure as exc:
-                raise StepFailure(f"step {n}: {exc}", step=n,
-                                  residual=exc.residual) from exc
-            states[n] = u
-            iterations.append(it)
-            residuals.append(rnorm)
+        workspaces = (
+            StepWorkspace(problem, mesh, grid.tau,
+                          ops.edge_velocity(problem.velocity, mesh,
+                                            nodes[n - 1], nodes[n]), tpfa)
+            for n in range(1, grid.n_steps + 1))
+    states, iterations, residuals = _integrate(workspaces, u0, increments,
+                                               params)
     return Trajectory(mesh, grid, states, iterations, residuals, increments,
                       problem_name=problem.name)
 
 
 def build_workspace(problem: ProblemSpec, mesh: TensorMesh, tau: float,
                     tpfa: TpfaOperator | None = None) -> StepWorkspace:
-    """Workspace for repeated stepping with a time-independent velocity."""
+    """Workspace for repeated stepping with a time-independent velocity.
+
+    A time-dependent velocity has a different edge average on every step,
+    so it is refused here; run_path builds one workspace per step for it.
+    """
     if problem.velocity is None:
         return StepWorkspace(problem, mesh, tau, None, tpfa)
+    if not problem.velocity_time_independent:
+        raise ValueError(f"{problem.name}: the velocity depends on time; "
+                         "one workspace cannot serve every step")
     ev = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
     return StepWorkspace(problem, mesh, tau, ev, tpfa)
 
@@ -319,14 +316,20 @@ def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
                         increments: np.ndarray, params: StepperParams,
                         ) -> tuple[np.ndarray, list[int], list[float]]:
     """Drive a whole trajectory through one prebuilt workspace."""
-    n_steps = len(increments)
-    states = np.empty((n_steps + 1, ws.mesh.n_cells))
+    return _integrate(itertools.repeat(ws), u0_values, increments, params)
+
+
+def _integrate(workspaces: Iterable[StepWorkspace], u0_values: np.ndarray,
+               increments: np.ndarray, params: StepperParams,
+               ) -> tuple[np.ndarray, list[int], list[float]]:
+    """The time-stepping loop: step n advances through the n-th workspace."""
+    states = np.empty((len(increments) + 1, len(u0_values)))
     states[0] = u0_values
     iterations: list[int] = []
     residuals: list[float] = []
-    for n in range(1, n_steps + 1):
+    for n, (ws, d_w) in enumerate(zip(workspaces, increments), start=1):
         try:
-            u, it, rnorm = ws.advance(states[n - 1], increments[n - 1], params)
+            u, it, rnorm = ws.advance(states[n - 1], d_w, params)
         except StepFailure as exc:
             raise StepFailure(f"step {n}: {exc}", step=n,
                               residual=exc.residual) from exc
@@ -345,12 +348,9 @@ def trajectory_mass_defects(traj: Trajectory, problem: ProblemSpec) -> np.ndarra
     Returns the per-step absolute defect (solver tolerance accumulation).
     """
     m = traj.mesh.measures
-    tau = traj.grid.tau
     masses = traj.states @ m
-    g_terms = traj.increments * (np.asarray([
-        np.dot(m, problem.g(traj.states[k])) for k in range(traj.n_steps)]))
-    b_terms = tau * np.asarray([
-        np.dot(m, problem.beta(traj.states[k + 1])) for k in range(traj.n_steps)])
+    g_terms = traj.increments * (problem.g(traj.states[:-1]) @ m)
+    b_terms = traj.grid.tau * (problem.beta(traj.states[1:]) @ m)
     predicted = masses[0] + np.cumsum(g_terms + b_terms)
     return np.abs(masses[1:] - predicted)
 

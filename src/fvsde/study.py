@@ -96,6 +96,8 @@ class StudyConfig:
         if len(self.mesh) not in (2, 3) or any(n < 1 for n in self.mesh):
             raise ConfigError(f"mesh counts must be 2 or 3 positive integers, "
                               f"got {self.mesh}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.paths < 2:
             raise ConfigError("paths must be >= 2 (confidence intervals need "
                               "at least two samples)")
@@ -111,8 +113,19 @@ class StudyConfig:
                     f"step count {n} does not divide ref_steps={self.ref_steps}")
         if self.study == "coupled" and len(self.steps) != self.levels:
             raise ConfigError("coupled study needs one step count per level")
-        if self.study == "temporal" and not self.steps:
-            raise ConfigError("temporal study needs a step-count chain")
+        if self.study == "temporal" and (
+                len(self.steps) < 2 or len(set(self.steps)) != len(self.steps)):
+            raise ConfigError("temporal study needs a chain of at least 2 "
+                              "distinct step counts")
+        if self.study in ("spatial", "coupled") and self.levels < 2:
+            raise ConfigError(f"{self.study} study needs at least 2 levels")
+        if self.study == "projections" and self.levels < 3:
+            raise ConfigError("projections study needs at least 3 levels")
+        dim = 2 if self.study == "projections" else len(
+            get_preset(self.preset).domain)
+        if len(self.mesh) != dim:
+            raise ConfigError(f"{self.study} with preset {self.preset!r} "
+                              f"needs a {dim}-D mesh, got {self.mesh}")
         if self.study == "hoelder" and self.ref_steps < 2 * max(HOELDER_SEPARATIONS):
             raise ConfigError("hoelder study needs ref_steps >= "
                               f"{2 * max(HOELDER_SEPARATIONS)}")
@@ -163,9 +176,16 @@ class HoelderReport:
     gradient: RateReport
 
 
-def _report(study: str, rows: list[RateRow], scales: list[float],
-            fit_errors: list[float], scale_name: str, metadata: dict,
-            inconclusive: bool = False) -> RateReport:
+def _report(study: str, rows: list[RateRow], scale_name: str,
+            metadata: dict) -> RateReport:
+    """Fit the rate of the rows' errors against their h (or tau) column.
+
+    Squared increments ("dt" scale) are fitted as they are; every other
+    study fits the root of its mean squared error.
+    """
+    scales = [r.h if scale_name == "h" else r.tau for r in rows]
+    fit_errors = [r.err_mean_sq if scale_name == "dt"
+                  else math.sqrt(r.err_mean_sq) for r in rows]
     if any(e <= 0.0 for e in fit_errors):
         raise ConfigError(
             f"{study}: a level has error exactly zero (it coincides with the "
@@ -175,194 +195,190 @@ def _report(study: str, rows: list[RateRow], scales: list[float],
     for i in range(2, len(rows) + 1):
         so_far.append(fit_rate(list(zip(scales[:i], fit_errors[:i])))[0])
     return RateReport(study, rows, scale_name, slope, intercept, resid,
-                      so_far, metadata, inconclusive)
+                      so_far, metadata)
 
 
-def _base_metadata(config: StudyConfig, problem, extra: dict | None = None) -> dict:
+def _mc_report(study: str, config: StudyConfig, columns, h_tau,
+               scale_name: str, metadata: dict) -> RateReport:
+    """Monte Carlo reduction: one row per column of per-path samples, with
+    its (h, tau) pair."""
+    rows = [RateRow(i, h, tau, config.paths, *mc_mean_ci(samples))
+            for i, (samples, (h, tau)) in enumerate(zip(columns, h_tau))]
+    report = _report(study, rows, scale_name, metadata)
+    report.inconclusive = _inconclusive(rows)
+    return report
+
+
+def _inconclusive(rows: list[RateRow]) -> bool:
+    """Adjacent levels whose sampling uncertainty swamps their separation.
+
+    Relative CI half-widths combine in quadrature; coupling makes adjacent
+    level errors positively correlated, so this is still conservative.
+    """
+    for a, b in zip(rows, rows[1:]):
+        gap = abs(math.log(a.err_mean_sq) - math.log(b.err_mean_sq))
+        rel = math.hypot(a.ci_half_width / a.err_mean_sq,
+                         b.ci_half_width / b.err_mean_sq)
+        if rel >= gap:
+            return True
+    return False
+
+
+def _base_metadata(config: StudyConfig, problem, extra: dict) -> dict:
     params = StepperParams()
-    md = {
+    return {
         "preset": config.preset,
         "seed": config.seed,
         "paths": config.paths,
         "mesh": list(config.mesh),
         "horizon": problem.horizon,
         "newton_tol": params.newton_tol,
-        "linear_tol": params.linear_tol,
         "tau_lbeta_margin": params.stability_margin,
         "commit": os.environ.get("FVSDE_COMMIT", "unknown"),
+        **extra,
     }
-    if extra:
-        md.update(extra)
-    return md
+
+
+def _levels(config: StudyConfig, problem) -> tuple[list, tuple | None]:
+    """The study's (mesh, n_steps) levels and its reference level.
+
+    temporal: one mesh, the step chain; coupled: nested meshes, one step
+    count each; hoelder: the reference alone; spatial: nested meshes with
+    tau ~ h^2 (no reference).
+    """
+    mesh = build_tensor_mesh(problem.domain, config.mesh)
+    ref = (mesh, config.ref_steps)
+    if config.study == "temporal":
+        return [(mesh, n) for n in config.steps], ref
+    if config.study == "hoelder":
+        return [], ref
+    meshes = [mesh]
+    for _ in range(config.levels - 1):
+        meshes.append(refine(meshes[-1]))
+    if config.study == "coupled":
+        return list(zip(meshes, config.steps)), (meshes[-1], config.ref_steps)
+    levels = []
+    for m in meshes:
+        hx = max(float(np.max(sp)) for sp in m.spacings)
+        levels.append((m, max(1, math.ceil(problem.horizon / (0.5 * hx * hx)))))
+    return levels, None
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo engines (one object per worker process)
+# Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-class _TemporalEngine:
-    """Coupled time-refinement comparison on one fixed mesh."""
+class _PathEngine:
+    """Coupled runs of every level against the reference, path by path.
+
+    Path p samples one Brownian path at the reference resolution, runs the
+    reference on it and every level on its block sums, and hands the states
+    to the study's comparator.  Each mesh gets one TPFA operator and one u0;
+    each level one workspace.  Worker processes build their own engine.
+    """
 
     def __init__(self, config: StudyConfig):
         self.config = config
         self.problem = get_preset(config.preset)
-        self.mesh = build_tensor_mesh(self.problem.domain, config.mesh)
         self.params = StepperParams()
-        tpfa = TpfaOperator(self.mesh)
-        self.u0 = cell_average(self.problem.u0, self.mesh).values
-        self.grids = [TimeGrid(n, self.problem.horizon) for n in config.steps]
-        self.ref_grid = TimeGrid(config.ref_steps, self.problem.horizon)
-        self.workspaces = [build_workspace(self.problem, self.mesh, g.tau, tpfa)
-                           for g in self.grids]
-        self.ref_ws = build_workspace(self.problem, self.mesh,
-                                      self.ref_grid.tau, tpfa)
-        self.m = self.mesh.measures
+        levels, (self.ref_mesh, ref_steps) = _levels(config, self.problem)
+        per_mesh: dict[TensorMesh, tuple] = {}
+        self.runs = []                  # (n_steps, workspace, u0), ref last
+        for mesh, n_steps in levels + [(self.ref_mesh, ref_steps)]:
+            if mesh not in per_mesh:
+                per_mesh[mesh] = (TpfaOperator(mesh),
+                                  cell_average(self.problem.u0, mesh).values)
+            tpfa, u0 = per_mesh[mesh]
+            ws = build_workspace(self.problem, mesh,
+                                 TimeGrid(n_steps, self.problem.horizon).tau,
+                                 tpfa)
+            self.runs.append((n_steps, ws, u0))
+        self.compare = _COMPARATORS[config.study]
+        self.lifts = [injection_map(ws.mesh, self.ref_mesh)
+                      for _, ws, _ in self.runs[:-1]]
 
-    def run_one(self, path_index: int) -> np.ndarray:
+    def run_one(self, path_index: int):
         path = sample_path(self.config.seed, path_index,
                            self.config.ref_steps, self.problem.horizon)
-        ref_states, _, _ = integrate_workspace(
-            self.ref_ws, self.u0, path.increments, self.params)
-        ref_final = ref_states[-1]
-        out = np.empty(len(self.grids))
-        for i, (grid, ws) in enumerate(zip(self.grids, self.workspaces)):
-            inc = coarsen(path, grid.n_steps)
-            states, _, _ = integrate_workspace(ws, self.u0, inc, self.params)
-            diff = states[-1] - ref_final
-            out[i] = float(np.dot(self.m, diff * diff))
-        return out
+        states = [integrate_workspace(ws, u0, coarsen(path, n), self.params)[0]
+                  for n, ws, u0 in self.runs]
+        return self.compare(self, states[:-1], states[-1])
 
 
-class _CoupledEngine:
-    """Simultaneous tau and h refinement against a fine coupled reference."""
+def _final_time(engine: _PathEngine, levels, ref) -> np.ndarray:
+    """Squared final-time L2 distance of each level to the reference."""
+    m = engine.ref_mesh.measures
+    out = np.empty(len(levels))
+    for i, states in enumerate(levels):
+        diff = states[-1] - ref[-1]
+        out[i] = float(np.dot(m, diff * diff))
+    return out
 
-    def __init__(self, config: StudyConfig):
-        self.config = config
-        self.problem = get_preset(config.preset)
-        self.params = StepperParams()
-        meshes = [build_tensor_mesh(self.problem.domain, config.mesh)]
-        for _ in range(config.levels - 1):
-            meshes.append(refine(meshes[-1]))
-        self.meshes = meshes
-        self.ref_mesh = meshes[-1]
-        self.ref_grid = TimeGrid(config.ref_steps, self.problem.horizon)
-        self.grids = [TimeGrid(n, self.problem.horizon) for n in config.steps]
-        self.maps = [injection_map(m, self.ref_mesh) for m in meshes]
-        self.u0s = [cell_average(self.problem.u0, m).values for m in meshes]
-        self.workspaces = [build_workspace(self.problem, m, g.tau)
-                           for m, g in zip(meshes, self.grids)]
-        self.ref_ws = build_workspace(self.problem, self.ref_mesh,
-                                      self.ref_grid.tau,
-                                      self.workspaces[-1].tpfa)
-        self.ref_u0 = cell_average(self.problem.u0, self.ref_mesh).values
-        self.m_ref = self.ref_mesh.measures
 
-    def _node_indices(self, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-        ratio = self.config.ref_steps // n_steps
+def _shared_nodes(engine: _PathEngine, levels, ref) -> list[np.ndarray]:
+    """Squared L2 distance at every shared node, levels lifted to the
+    reference mesh (right-interpolant nodes unless configured otherwise)."""
+    cfg = engine.config
+    out = []
+    for (n_steps, _, _), lift, states in zip(engine.runs, engine.lifts, levels):
         ks = np.arange(n_steps + 1)
-        if self.config.left_interpolant:
-            return ks, ks * ratio
-        coarse = np.minimum(ks + 1, n_steps)
-        ref = np.minimum(ks * ratio + 1, self.config.ref_steps)
-        return coarse, ref
-
-    def run_one(self, path_index: int) -> list[np.ndarray]:
-        path = sample_path(self.config.seed, path_index,
-                           self.config.ref_steps, self.problem.horizon)
-        ref_states, _, _ = integrate_workspace(
-            self.ref_ws, self.ref_u0, path.increments, self.params)
-        out = []
-        for level in range(self.config.levels):
-            grid = self.grids[level]
-            inc = coarsen(path, grid.n_steps)
-            states, _, _ = integrate_workspace(
-                self.workspaces[level], self.u0s[level], inc, self.params)
-            c_idx, r_idx = self._node_indices(grid.n_steps)
-            lifted = states[c_idx][:, self.maps[level]]
-            diff = lifted - ref_states[r_idx]
-            out.append((diff * diff) @ self.m_ref)
-        return out
+        if cfg.left_interpolant:
+            c_idx, r_idx = ks, ks * (cfg.ref_steps // n_steps)
+        else:
+            c_idx = np.minimum(ks + 1, n_steps)
+            r_idx = np.minimum(ks * (cfg.ref_steps // n_steps) + 1,
+                               cfg.ref_steps)
+        diff = states[c_idx][:, lift] - ref[r_idx]
+        out.append((diff * diff) @ engine.ref_mesh.measures)
+    return out
 
 
-class _HoelderEngine:
-    """Squared time increments of one fine run, in L2 and H1 seminorm."""
-
-    def __init__(self, config: StudyConfig):
-        self.config = config
-        self.problem = get_preset(config.preset)
-        self.mesh = build_tensor_mesh(self.problem.domain, config.mesh)
-        self.params = StepperParams()
-        self.grid = TimeGrid(config.ref_steps, self.problem.horizon)
-        self.ws = build_workspace(self.problem, self.mesh, self.grid.tau)
-        self.u0 = cell_average(self.problem.u0, self.mesh).values
-        self.m = self.mesh.measures
-        self.k = self.mesh.edge_cells[:, 0]
-        self.l = self.mesh.edge_cells[:, 1]
-        self.t = self.mesh.transmissibilities
-
-    def run_one(self, path_index: int) -> tuple[np.ndarray, np.ndarray]:
-        path = sample_path(self.config.seed, path_index,
-                           self.config.ref_steps, self.problem.horizon)
-        states, _, _ = integrate_workspace(self.ws, self.u0, path.increments,
-                                           self.params)
-        vals = np.empty(len(HOELDER_SEPARATIONS))
-        grads = np.empty(len(HOELDER_SEPARATIONS))
-        for i, sep in enumerate(HOELDER_SEPARATIONS):
-            d = states[sep:] - states[:-sep]
-            vals[i] = float(np.mean((d * d) @ self.m))
-            dd = d[:, self.k] - d[:, self.l]
-            grads[i] = float(np.mean((dd * dd) @ self.t))
-        return vals, grads
+def _increments(engine: _PathEngine, levels, ref):
+    """Mean squared increments of the reference run at each separation, in
+    L2 and in the discrete H1 seminorm."""
+    mesh = engine.ref_mesh
+    k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    vals = np.empty(len(HOELDER_SEPARATIONS))
+    grads = np.empty(len(HOELDER_SEPARATIONS))
+    for i, sep in enumerate(HOELDER_SEPARATIONS):
+        d = ref[sep:] - ref[:-sep]
+        vals[i] = float(np.mean((d * d) @ mesh.measures))
+        dd = d[:, k] - d[:, l]
+        grads[i] = float(np.mean((dd * dd) @ mesh.transmissibilities))
+    return vals, grads
 
 
-_ENGINES = {"temporal": _TemporalEngine, "coupled": _CoupledEngine,
-            "hoelder": _HoelderEngine}
+_COMPARATORS = {"temporal": _final_time, "coupled": _shared_nodes,
+                "hoelder": _increments}
 
 _WORKER_ENGINE = None
 
 
-def _worker_init(kind: str, config: StudyConfig) -> None:
+def _worker_init(config: StudyConfig) -> None:
     global _WORKER_ENGINE
-    _WORKER_ENGINE = _ENGINES[kind](config)
+    _WORKER_ENGINE = _PathEngine(config)
 
 
 def _worker_block(indices: list[int]):
     return [_WORKER_ENGINE.run_one(p) for p in indices]
 
 
-def _map_paths(kind: str, config: StudyConfig) -> list:
+def _map_paths(config: StudyConfig) -> list:
     """Per-path engine results, in path order regardless of worker count."""
     n_workers = min(config.workers, config.paths)
     if n_workers <= 1:
-        engine = _ENGINES[kind](config)
+        engine = _PathEngine(config)
         return [engine.run_one(p) for p in range(config.paths)]
     blocks = [list(map(int, b))
               for b in np.array_split(np.arange(config.paths), n_workers)
               if len(b)]
     results: list = []
     with ProcessPoolExecutor(max_workers=n_workers, initializer=_worker_init,
-                             initargs=(kind, config)) as pool:
+                             initargs=(config,)) as pool:
         futures = [pool.submit(_worker_block, block) for block in blocks]
         for fut in futures:            # submission order == path order
             results.extend(fut.result())
     return results
-
-
-def _inconclusive(means: np.ndarray, cis: np.ndarray) -> bool:
-    """Adjacent levels whose sampling uncertainty swamps their separation.
-
-    Relative CI half-widths combine in quadrature; coupling makes adjacent
-    level errors positively correlated, so this is still conservative.
-    """
-    if np.any(means <= 0.0):
-        raise ConfigError("a level has error exactly zero (it coincides with "
-                          "the reference); drop it from the refinement chain")
-    for i in range(len(means) - 1):
-        gap = abs(math.log(means[i]) - math.log(means[i + 1]))
-        rel = math.hypot(cis[i] / means[i], cis[i + 1] / means[i + 1])
-        if rel >= gap:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -382,28 +398,22 @@ def run_spatial_rate_study(config: StudyConfig) -> RateReport:
         raise ConfigError(f"preset {config.preset!r} has no closed-form "
                           "solution; the spatial study needs one")
     params = StepperParams()
-    mesh = build_tensor_mesh(problem.domain, config.mesh)
-    rows, scales, errs, regs = [], [], [], []
-    for level in range(config.levels):
-        if level > 0:
-            mesh = refine(mesh)
-        hx = max(float(np.max(sp)) for sp in mesh.spacings)
-        n_steps = max(1, math.ceil(problem.horizon / (0.5 * hx * hx)))
-        grid = TimeGrid(n_steps, problem.horizon)
-        ws = build_workspace(problem, mesh, grid.tau)
+    levels, _ = _levels(config, problem)
+    rows = []
+    for level, (mesh, n_steps) in enumerate(levels):
+        tau = TimeGrid(n_steps, problem.horizon).tau
+        ws = build_workspace(problem, mesh, tau)
         u0 = cell_average(problem.u0, mesh).values
         states, _, _ = integrate_workspace(ws, u0, np.zeros(n_steps), params)
         exact = cell_average(
             lambda x: problem.exact_solution(x, problem.horizon), mesh).values
         diff = states[-1] - exact
         err_sq = float(np.dot(mesh.measures, diff * diff))
-        rows.append(RateRow(level, mesh.size_h, grid.tau, 1, err_sq, 0.0))
-        scales.append(mesh.size_h)
-        errs.append(math.sqrt(err_sq))
-        regs.append(mesh.regularity)
-    md = _base_metadata(config, problem, {"mesh_regularity": regs,
-                                          "tau_rule": "0.5*h_axis^2"})
-    return _report("spatial", rows, scales, errs, "h", md)
+        rows.append(RateRow(level, mesh.size_h, tau, 1, err_sq, 0.0))
+    md = _base_metadata(config, problem, {
+        "mesh_regularity": [m.regularity for m, _ in levels],
+        "tau_rule": "0.5*h_axis^2"})
+    return _report("spatial", rows, "h", md)
 
 
 def run_temporal_rate_study(config: StudyConfig) -> RateReport:
@@ -414,24 +424,15 @@ def run_temporal_rate_study(config: StudyConfig) -> RateReport:
     """
     config.validate()
     problem = get_preset(config.preset)
-    samples = np.asarray(_map_paths("temporal", config))   # (paths, levels)
-    mesh = build_tensor_mesh(problem.domain, config.mesh)
-    rows, scales, errs = [], [], []
-    means, cis = [], []
-    for i, n in enumerate(config.steps):
-        mean, ci = mc_mean_ci(samples[:, i])
-        tau = problem.horizon / n
-        rows.append(RateRow(i, mesh.size_h, tau, config.paths, mean, ci))
-        scales.append(tau)
-        errs.append(math.sqrt(mean))
-        means.append(mean)
-        cis.append(ci)
+    samples = np.asarray(_map_paths(config))   # (paths, levels)
+    levels, (mesh, _) = _levels(config, problem)
     md = _base_metadata(config, problem, {
         "mesh_regularity": mesh.regularity,
         "ref_steps": config.ref_steps,
     })
-    flag = _inconclusive(np.asarray(means), np.asarray(cis))
-    return _report("temporal", rows, scales, errs, "tau", md, flag)
+    return _mc_report("temporal", config, samples.T,
+                      [(m.size_h, problem.horizon / n) for m, n in levels],
+                      "tau", md)
 
 
 def run_coupled_rate_study(config: StudyConfig) -> RateReport:
@@ -444,30 +445,20 @@ def run_coupled_rate_study(config: StudyConfig) -> RateReport:
     """
     config.validate()
     problem = get_preset(config.preset)
-    results = _map_paths("coupled", config)   # [path][level] -> per-node array
-    engine_meshes = [build_tensor_mesh(problem.domain, config.mesh)]
-    for _ in range(config.levels - 1):
-        engine_meshes.append(refine(engine_meshes[-1]))
-    rows, scales, errs, means, cis = [], [], [], [], []
-    for level in range(config.levels):
+    results = _map_paths(config)   # [path][level] -> per-node array
+    levels, _ = _levels(config, problem)
+    columns = []
+    for level in range(len(levels)):
         stacked = np.stack([results[p][level] for p in range(config.paths)])
-        node_means = stacked.mean(axis=0)
-        sup_node = int(np.argmax(node_means))
-        mean, ci = mc_mean_ci(stacked[:, sup_node])
-        h = engine_meshes[level].size_h
-        tau = problem.horizon / config.steps[level]
-        rows.append(RateRow(level, h, tau, config.paths, mean, ci))
-        scales.append(h)
-        errs.append(math.sqrt(mean))
-        means.append(mean)
-        cis.append(ci)
+        columns.append(stacked[:, int(np.argmax(stacked.mean(axis=0)))])
     md = _base_metadata(config, problem, {
-        "mesh_regularity": [m.regularity for m in engine_meshes],
+        "mesh_regularity": [m.regularity for m, _ in levels],
         "ref_steps": config.ref_steps,
         "interpolant": "left" if config.left_interpolant else "right",
     })
-    flag = _inconclusive(np.asarray(means), np.asarray(cis))
-    return _report("coupled", rows, scales, errs, "h", md, flag)
+    return _mc_report("coupled", config, columns,
+                      [(m.size_h, problem.horizon / n) for m, n in levels],
+                      "h", md)
 
 
 def run_hoelder_diagnostic(config: StudyConfig) -> HoelderReport:
@@ -479,31 +470,20 @@ def run_hoelder_diagnostic(config: StudyConfig) -> HoelderReport:
     """
     config.validate()
     problem = get_preset(config.preset)
-    results = _map_paths("hoelder", config)
-    mesh = build_tensor_mesh(problem.domain, config.mesh)
+    results = _map_paths(config)
+    _, (mesh, _) = _levels(config, problem)
     tau = problem.horizon / config.ref_steps
-    vals = np.stack([r[0] for r in results])
+    md = _base_metadata(config, problem, {
+        "mesh_regularity": mesh.regularity,
+        "fine_steps": config.ref_steps,
+        "separations": list(HOELDER_SEPARATIONS),
+    })
+    h_dt = [(mesh.size_h, sep * tau) for sep in HOELDER_SEPARATIONS]
+    vals = np.stack([r[0] for r in results])     # (paths, separations)
     grads = np.stack([r[1] for r in results])
-    reports = []
-    for label, data in (("hoelder_l2", vals), ("hoelder_h1", grads)):
-        rows, scales, fit_errs, means, cis = [], [], [], [], []
-        for i, sep in enumerate(HOELDER_SEPARATIONS):
-            mean, ci = mc_mean_ci(data[:, i])
-            rows.append(RateRow(i, mesh.size_h, sep * tau, config.paths,
-                                mean, ci))
-            scales.append(sep * tau)
-            fit_errs.append(mean)      # slope of the *squared* increment
-            means.append(mean)
-            cis.append(ci)
-        md = _base_metadata(config, problem, {
-            "mesh_regularity": mesh.regularity,
-            "fine_steps": config.ref_steps,
-            "separations": list(HOELDER_SEPARATIONS),
-        })
-        flag = _inconclusive(np.asarray(means), np.asarray(cis))
-        reports.append(_report(label, rows, scales, fit_errs,
-                               "dt", md, flag))
-    return HoelderReport(value=reports[0], gradient=reports[1])
+    return HoelderReport(
+        value=_mc_report("hoelder_l2", config, vals.T, h_dt, "dt", md),
+        gradient=_mc_report("hoelder_h1", config, grads.T, h_dt, "dt", md))
 
 
 # ---------------------------------------------------------------------------

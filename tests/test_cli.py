@@ -1,10 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fvsde
 from fvsde.cli import main, parse_config
 from fvsde.errors import ConfigError
+from fvsde.presets import PRESETS
+from fvsde.study import STUDIES
 
 
 def _read(path):
@@ -136,3 +146,79 @@ def test_projections_subcommand(tmp_path):
     assert (out / "projections_rates.csv").exists()
     summary = json.loads(_read(out / "projections_summary.json"))
     assert set(summary["slopes"]) == {"elliptic", "centered", "seminorm_gap"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["temporal", "--seed", "-1"],
+    ["temporal", "--seed", str(2**64)],
+    ["temporal", "--steps", "4"],
+    ["spatial", "--levels", "1"],
+    ["projections", "--levels", "2"],
+    ["temporal", "--mesh", "4x4x4"],
+    ["projections", "--mesh", "1x1"],
+])
+def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+def test_bad_seed_exits_2_without_traceback(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FVSDE_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fvsde.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fvsde", "temporal", "--seed", "-1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "seed" in proc.stderr
+
+
+_FUZZ_STUDIES = [s for s in STUDIES if s != "properties"]
+
+
+@st.composite
+def _study_argv(draw):
+    """A tiny study command line with at most one key drawn from bad values."""
+    study = draw(st.sampled_from(_FUZZ_STUDIES))
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    bad = draw(st.sampled_from([None, "seed", "paths", "levels", "mesh",
+                                "steps"]))
+    dim = 3 if preset == "heat3d" and study != "projections" else 2
+    if bad == "mesh":
+        dim = 5 - dim
+    levels = draw(st.integers(1 if bad == "levels" else 2, 3))
+    ref_steps = draw(st.sampled_from([8, 16]))
+    step_values = [n for n in (1, 2, 4, 8, 16) if ref_steps % n == 0]
+    if bad == "steps":
+        step_values += [3, 2 * ref_steps]
+    n_steps = levels if study == "coupled" else draw(st.integers(2, 3))
+    seeds = (st.sampled_from([-1, -2**63, 2**64, 2**64 + 7]) if bad == "seed"
+             else st.integers(0, 2**64 - 1))
+    argv = [
+        study, "--preset", preset, "--seed", str(draw(seeds)),
+        "--paths", str(draw(st.sampled_from([1, 0]) if bad == "paths"
+                            else st.integers(2, 3))),
+        "--levels", str(levels),
+        "--mesh", "x".join(str(draw(st.integers(1, 4))) for _ in range(dim)),
+        "--steps", ",".join(str(draw(st.sampled_from(step_values)))
+                            for _ in range(n_steps)),
+        "--ref-steps", str(ref_steps),
+        "--workers", str(draw(st.integers(1, 2))),
+    ]
+    if draw(st.booleans()):
+        argv.append("--left-interpolant")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_study_argv())
+def test_cli_argv_fuzz(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", out])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -213,29 +213,3 @@ def test_summary_dict_roundtrip_keys():
     assert len(summary["cells"]["measures"]) == 6
     assert len(summary["interior_edges"]["cells"]) == mesh.n_interior_edges
     assert summary["cell_measure_sum"] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_edge_quadrature_integrates_over_face():
-    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
-    pts, w = mesh.edge_quadrature(0)
-    assert w.sum() == pytest.approx(mesh.edge_measures[0])
-    # integrate x2^4 over the face (a vertical segment of length 1/2):
-    # oracle is the 1D antiderivative over the tangential extent
-    lo, hi = mesh.edge_lower[0, 1], mesh.edge_upper[0, 1]
-    oracle = (hi**5 - lo**5) / 5.0
-    assert np.dot(w, pts[:, 1] ** 4) == pytest.approx(oracle, rel=1e-13)
-    # 3D face: weights sum to the face area
-    cube = build_tensor_mesh(UNIT_CUBE, (2, 2, 2))
-    pts3, w3 = cube.edge_quadrature(0)
-    assert pts3.shape == (9, 3)
-    assert w3.sum() == pytest.approx(cube.edge_measures[0])
-
-
-def test_cells_view_has_edge_ids():
-    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
-    cells = mesh.cells
-    assert len(cells) == 4
-    # every cell of a 2x2 mesh touches 2 interior and 2 boundary edges
-    for cell in cells:
-        assert len(cell.edge_ids) == 4
-        assert cell.measure == pytest.approx(0.25)

@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import fvsde
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(fvsde.__path__)
+                 if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_exports_resolve(name):
+    module = importlib.import_module(f"fvsde.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing, f"fvsde.{name}.__all__ names missing objects: {missing}"

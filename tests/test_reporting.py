@@ -1,36 +1,6 @@
-import numpy as np
-
 from fvsde.cli import main
-from fvsde.fields import CellField
-from fvsde.mesh import build_tensor_mesh
-from fvsde.noise import NoisePath, TimeGrid
-from fvsde.presets import get_preset
-from fvsde.reporting import field_to_csv, svg_loglog, trajectory_summary_csv
-from fvsde.scheme import run_path
+from fvsde.reporting import svg_loglog
 from fvsde.study import default_config, run_spatial_rate_study
-
-
-def test_field_to_csv_layout():
-    mesh = build_tensor_mesh(((0.0, 1.0), (0.0, 1.0)), (2, 1))
-    text = field_to_csv(CellField(mesh, np.array([1.5, -2.0])))
-    lines = text.splitlines()
-    assert lines[0] == "cell,x1,x2,value"
-    assert lines[1] == "0,0.25,0.5,1.5"
-    assert lines[2] == "1,0.75,0.5,-2"
-
-
-def test_trajectory_summary_csv():
-    problem = get_preset("diffusion")
-    mesh = build_tensor_mesh(problem.domain, (4, 4))
-    grid = TimeGrid(3, problem.horizon)
-    traj = run_path(problem, mesh, grid,
-                    NoisePath(problem.horizon, 3, np.zeros(3), 0, 0))
-    lines = trajectory_summary_csv(traj).splitlines()
-    assert lines[0] == "step,time,l2_norm,h1_seminorm,newton_iterations,residual"
-    assert len(lines) == 5
-    # diffusion decays the norm monotonically
-    norms = [float(line.split(",")[2]) for line in lines[1:]]
-    assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
 def test_svg_plot_is_deterministic():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from fvsde.errors import StabilityWarning, StepFailure
 from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, cell_average
 from fvsde.noise import NoisePath, TimeGrid, brownian_values, sample_path
-from fvsde.presets import get_preset
+from fvsde.presets import get_preset, stream_velocity
 from fvsde.scheme import (ProblemSpec, StepperParams, StepWorkspace,
-                          assemble_residual, energy_balance_defects,
-                          newton_advance, run_path, trajectory_mass_defects)
+                          assemble_residual, build_workspace,
+                          energy_balance_defects, newton_advance, run_path,
+                          trajectory_mass_defects)
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 
@@ -174,6 +177,14 @@ def test_mass_identity_general_coefficients():
     traj = run_path(problem, mesh, grid, path)
     defects = trajectory_mass_defects(traj, problem)
     assert np.all(defects <= np.arange(1, 17) * 1e-9)
+    # per-step loop form of the same identity, summed in another order
+    m = mesh.measures
+    predicted = traj.states[0] @ m + np.cumsum([
+        traj.increments[k] * np.dot(m, problem.g(traj.states[k]))
+        + grid.tau * np.dot(m, problem.beta(traj.states[k + 1]))
+        for k in range(16)])
+    np.testing.assert_allclose(defects, np.abs(traj.states[1:] @ m - predicted),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_energy_identity_pure_diffusion_is_tight():
@@ -278,3 +289,42 @@ def test_newton_advance_matches_run_path_step():
     assert np.array_equal(traj.states[1], state.values)
     assert iterations <= 2
     assert discrete_l2_norm(state) <= discrete_l2_norm(prev)
+
+
+# -- time-dependent velocity --------------------------------------------------
+
+def _growing_stream(t, x):
+    return (1.0 + t) * stream_velocity(1.0)(t, x)
+
+
+def _time_dependent_run(velocity, time_independent):
+    problem = dataclasses.replace(get_preset("stochastic"), velocity=velocity,
+                                  velocity_time_independent=time_independent)
+    mesh = build_tensor_mesh(problem.domain, (6, 6))
+    grid = TimeGrid(8, problem.horizon)
+    path = sample_path(21, 0, 32, problem.horizon)
+    return problem, run_path(problem, mesh, grid, path)
+
+
+def test_constant_velocity_flagged_time_dependent_matches_frozen():
+    _, frozen = _time_dependent_run(stream_velocity(1.0), True)
+    _, stepped = _time_dependent_run(stream_velocity(1.0), False)
+    assert np.array_equal(stepped.states, frozen.states)
+    assert stepped.newton_iterations == frozen.newton_iterations
+
+
+def test_time_dependent_velocity_keeps_mass_and_differs_from_frozen():
+    problem, traj = _time_dependent_run(_growing_stream, False)
+    defects = trajectory_mass_defects(traj, problem)
+    assert np.all(defects <= np.arange(1, traj.n_steps + 1) * 1e-9)
+    _, frozen = _time_dependent_run(_growing_stream, True)
+    assert not np.array_equal(traj.states[-1], frozen.states[-1])
+
+
+def test_build_workspace_refuses_time_dependent_velocity():
+    problem = dataclasses.replace(get_preset("stochastic"),
+                                  velocity=_growing_stream,
+                                  velocity_time_independent=False)
+    mesh = build_tensor_mesh(problem.domain, (4, 4))
+    with pytest.raises(ValueError, match="time"):
+        build_workspace(problem, mesh, 0.01)

@@ -124,16 +124,27 @@ def test_heat_reference_satisfies_pde():
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         default_config("unknown-study")
-    with pytest.raises(ConfigError):
-        default_config("temporal", paths=1)
-    with pytest.raises(ConfigError):
-        default_config("temporal", steps=(7,), ref_steps=1024)
-    with pytest.raises(ConfigError):
-        default_config("coupled", steps=(8, 16), levels=3)
-    with pytest.raises(ConfigError):
-        default_config("hoelder", ref_steps=4)
-    with pytest.raises(ConfigError):
-        default_config("temporal", mesh=(4,))
+    bad = [
+        ("temporal", {"paths": 1}),
+        ("temporal", {"steps": (7,), "ref_steps": 1024}),
+        ("coupled", {"steps": (8, 16), "levels": 3}),
+        ("hoelder", {"ref_steps": 4}),
+        ("temporal", {"mesh": (4,)}),
+        ("temporal", {"seed": -1}),
+        ("temporal", {"seed": 2**64}),
+        ("temporal", {"steps": (4,)}),
+        ("temporal", {"steps": (8, 8), "ref_steps": 64}),
+        ("spatial", {"levels": 1}),
+        ("coupled", {"levels": 1, "steps": (8,)}),
+        ("projections", {"levels": 2}),
+        ("temporal", {"mesh": (4, 4, 4)}),
+        ("spatial", {"preset": "heat3d", "mesh": (4, 4)}),
+        ("projections", {"mesh": (4, 4, 4)}),
+    ]
+    for study, overrides in bad:
+        with pytest.raises(ConfigError):
+            default_config(study, **overrides)
+    assert default_config("temporal", seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_spatial_study_needs_closed_form():
@@ -163,10 +174,10 @@ def test_spatial_study_3d_smoke():
 
 def test_temporal_engine_zero_error_against_itself():
     # the N = ref_steps level is the reference itself: error exactly zero
-    from fvsde.study import _TemporalEngine
+    from fvsde.study import _PathEngine
     cfg = default_config("temporal", mesh=(6, 6), steps=(32, 16),
                          ref_steps=32, paths=2)
-    engine = _TemporalEngine(cfg)
+    engine = _PathEngine(cfg)
     for p in range(2):
         errors = engine.run_one(p)
         assert errors[0] == 0.0
