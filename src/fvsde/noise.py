@@ -6,10 +6,14 @@ resolution.  Generation is counter-based: a Philox stream keyed by
 execution order.
 
 Increments are snapped to a power-of-two lattice about 2^-26 below their
-standard deviation.  Every partial sum of lattice values this small is exact
-in double precision, so coarsening commutes bit-for-bit along any divisor
-chain and coarse increments sum to exactly the fine total.  The statistical
-distortion (~1e-8 relative) is far below anything the diagnostics resolve.
+standard deviation, i.e. they are integers k times one quantum with
+|k| < 2^27 |z| for the standard normal draw z.  A partial sum of n_fine
+such values is exact in double precision while n_fine * max|k| < 2^53, so
+coarsening commutes bit-for-bit along any divisor chain and coarse
+increments sum to exactly the fine total.  sample_path enforces that bound:
+it refuses n_fine > 2^23 (the bound for |z| <= 8) before drawing and checks
+the drawn integers after.  The statistical distortion (~1e-8 relative) is
+far below anything the diagnostics resolve.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import numpy as np
 from .errors import CouplingError
 
 __all__ = ["TimeGrid", "NoisePath", "sample_path", "coarsen", "brownian_values"]
+
+MAX_FINE_STEPS = 2**23          # n_fine * max|k| < 2^53 for |z| <= 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +69,9 @@ def sample_path(seed: int, path_index: int, n_fine: int, horizon: float) -> Nois
     """Draw the fine increments of one path: n_fine iid N(0, T/n_fine)."""
     if n_fine < 1:
         raise ValueError("n_fine must be >= 1")
+    if n_fine > MAX_FINE_STEPS:
+        raise ValueError(f"n_fine = {n_fine} exceeds 2**23; partial sums of "
+                         "the noise lattice would no longer be exact")
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
     key = np.array([np.uint64(seed), np.uint64(path_index)], dtype=np.uint64)
@@ -70,7 +79,12 @@ def sample_path(seed: int, path_index: int, n_fine: int, horizon: float) -> Nois
     sigma = math.sqrt(horizon / n_fine)
     quantum = 2.0 ** (math.floor(math.log2(sigma)) - 26)
     z = rng.standard_normal(n_fine)
-    increments = np.rint(z * (sigma / quantum)) * quantum
+    lattice = np.rint(z * (sigma / quantum))
+    if n_fine * float(np.max(np.abs(lattice))) >= 2.0**53:
+        raise ValueError(f"a draw of {np.max(np.abs(z)):.3g} standard "
+                         f"deviations breaks exact partial sums of {n_fine} "
+                         "lattice increments")
+    increments = lattice * quantum
     return NoisePath(float(horizon), int(n_fine), increments,
                      int(seed), int(path_index))
 

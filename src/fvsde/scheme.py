@@ -9,11 +9,17 @@ dW_n, the new vector u^n solves, for every control volume K,
       = m_K g(u_K^{n-1}) dW_n + tau m_K beta(u_K),
 
 with u_sigma the upstream value (u_K when v_{K,sigma} >= 0, else u_L).  The
-noise coefficient is explicit, everything else implicit.  The nonlinear
-system is solved by Newton with an analytic Jacobian; each linear system is
-handled by a direct sparse factorization, and for affine f and beta (the
-rate-study presets) the Jacobian is constant, so one factorization is reused
-for the whole trajectory.
+noise coefficient is explicit, everything else implicit.
+
+StepWorkspace.advance takes one step of one path.  For affine f and beta
+(the rate-study presets) the Jacobian J is constant and factorized once per
+workspace, and the step solves J u = m (u^{n-1} + g(u^{n-1}) dW_n)
+directly: Newton's first iterate from u^{n-1}.  The true residual (with f,
+beta, g) is then checked, and Newton continues on the same factorization
+while it is above tolerance.  Other coefficients run Newton with a fresh
+Jacobian and sparse solve per iteration.  Every solve has one right-hand
+side: with several, the BLAS kernels behind SuperLU can change a column's
+bits with the number of columns.
 """
 
 from __future__ import annotations
@@ -102,9 +108,12 @@ class StepperParams:
     """Newton settings.
 
     The residual norm is sqrt(sum_K R_K^2 / m_K), compared against
-    newton_tol * max(1, ||u^{n-1}||_2).  Linear systems use a direct sparse
-    factorization.  tau * L_beta above `stability_margin` triggers a
-    StabilityWarning (solvability of the implicit reaction term).
+    newton_tol * max(1, ||u^{n-1}||_2).  For affine
+    f and beta the direct solve counts as the first iteration, and
+    max_newton_iterations = 0 only checks the residual at u^{n-1}.  Linear
+    systems use a direct sparse factorization.  tau * L_beta above
+    `stability_margin` triggers a StabilityWarning (solvability of the
+    implicit reaction term).
     """
 
     newton_tol: float = 1e-11
@@ -135,10 +144,12 @@ class Trajectory:
 class StepWorkspace:
     """Precomputed per-(mesh, tau, edge velocity) assembly data.
 
-    Holds the mass vector, the assembled stiffness, the upwind convection
-    structure, and, for affine f and beta, one reusable LU factorization of
-    the constant Jacobian.  Monte Carlo drivers build a workspace per level
-    once and push many paths through it.
+    Holds the mass vector, the assembled stiffness, one sparse upwind
+    convection matrix (tau m_sigma v_{K,sigma} from each cell's upstream
+    cell, or None without convection), which the residual and the Jacobian
+    share, and, for affine f and beta, one reusable LU factorization of the
+    constant Jacobian.  Monte Carlo drivers build a workspace per level once
+    and push many paths through it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,
@@ -150,17 +161,18 @@ class StepWorkspace:
         self.m = mesh.measures
         self.stiffness = self.tpfa.stiffness
         self.edge_vel = edge_vel
+        self.conv = None
         if edge_vel is not None and np.any(edge_vel.values != 0.0):
-            self.K = mesh.edge_cells[:, 0]
-            self.L = mesh.edge_cells[:, 1]
-            self.m_vel = mesh.edge_measures * edge_vel.values
-            self.upwind_idx = ops.upwind_cells(edge_vel)
-            self.has_convection = True
-        else:
-            self.has_convection = False
-        self.linear = problem.f_is_linear and problem.beta_is_linear
+            flux = self.tau * (mesh.edge_measures * edge_vel.values)
+            upwind = ops.upwind_cells(edge_vel)
+            n = mesh.n_cells
+            self.conv = sp.coo_matrix(
+                (np.concatenate([flux, -flux]),
+                 (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]]),
+                  np.concatenate([upwind, upwind]))),
+                shape=(n, n)).tocsr()
         self.lu = None
-        if self.linear:
+        if problem.f_is_linear and problem.beta_is_linear:
             self.lu = self._factorize(self.jacobian(np.zeros(mesh.n_cells)))
 
     @staticmethod
@@ -172,13 +184,20 @@ class StepWorkspace:
 
     def residual(self, candidate: np.ndarray, previous: np.ndarray,
                  d_w: float) -> np.ndarray:
+        """Per-cell residual of the implicit system at a candidate state."""
+        return self._implicit(candidate) - self._explicit(previous, d_w)
+
+    def _explicit(self, previous: np.ndarray, d_w: float) -> np.ndarray:
+        """The step's right-hand side m (u^{n-1} + g(u^{n-1}) dW)."""
+        return self.m * (previous + np.asarray(self.problem.g(previous)) * d_w)
+
+    def _implicit(self, candidate: np.ndarray) -> np.ndarray:
+        """The implicit part m u + tau A u + tau div(v f(u)) - tau m beta(u):
+        the residual is _implicit - _explicit."""
         p = self.problem
-        r = self.m * (candidate - previous) + self.tau * (self.stiffness @ candidate)
-        if self.has_convection:
-            flux = self.tau * self.m_vel * np.asarray(p.f(candidate[self.upwind_idx]))
-            np.add.at(r, self.K, flux)
-            np.add.at(r, self.L, -flux)
-        r -= self.m * np.asarray(p.g(previous)) * d_w
+        r = candidate * self.m + self.tau * (self.stiffness @ candidate)
+        if self.conv is not None:
+            r += self.conv @ np.asarray(p.f(candidate))
         r -= self.tau * self.m * np.asarray(p.beta(candidate))
         return r
 
@@ -186,29 +205,36 @@ class StepWorkspace:
         p = self.problem
         diag = self.m * (1.0 - self.tau * np.asarray(p.beta_prime(candidate)))
         j = sp.diags(diag) + self.tau * self.stiffness
-        if self.has_convection:
-            data = self.tau * self.m_vel * np.asarray(p.f_prime(candidate[self.upwind_idx]))
-            n = self.mesh.n_cells
-            conv = sp.coo_matrix(
-                (np.concatenate([data, -data]),
-                 (np.concatenate([self.K, self.L]),
-                  np.concatenate([self.upwind_idx, self.upwind_idx]))),
-                shape=(n, n))
-            j = j + conv.tocsr()
+        if self.conv is not None:
+            # conv @ diag(f'(u)), by scaling each stored entry by its column
+            conv = self.conv.copy()
+            conv.data *= np.asarray(p.f_prime(candidate))[conv.indices]
+            j = j + conv
         return j
-
-    def residual_norm(self, r: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(r * r / self.m)))
 
     def advance(self, previous: np.ndarray, d_w: float,
                 params: StepperParams) -> tuple[np.ndarray, int, float]:
+        """One implicit step; returns (state, Newton iterations, residual norm).
+
+        With a constant Jacobian the first iterate is the direct solve of
+        J u = m (u^{n-1} + g(u^{n-1}) dW) and counts as one iteration; the
+        true residual decides whether Newton continues.  Raises StepFailure
+        when the tolerance is missed within the iteration budget.
+        """
         scale = max(1.0, float(np.sqrt(np.sum(self.m * previous**2))))
-        u = previous.copy()
+        tol = params.newton_tol * scale
         max_it = params.max_newton_iterations
-        for it in range(max_it + 1):
-            r = self.residual(u, previous, d_w)
-            rnorm = self.residual_norm(r)
-            if rnorm <= params.newton_tol * scale:
+        rhs = self._explicit(previous, d_w)
+        if self.lu is not None and max_it >= 1:
+            u, first = self.lu.solve(rhs), 1
+        else:
+            u, first = previous.copy(), 0
+        for it in range(first, max_it + 1):
+            r = self._implicit(u) - rhs
+            rnorm = float(np.sqrt(np.sum(r * r / self.m)))
+            if not np.isfinite(rnorm):
+                raise SolverError("singular Jacobian (non-finite state)")
+            if rnorm <= tol:
                 return u, it, rnorm
             if it == max_it:
                 raise StepFailure(
@@ -223,8 +249,6 @@ class StepWorkspace:
                         delta = spsolve(self.jacobian(u).tocsr(), -r)
                     except sp.linalg.MatrixRankWarning as exc:
                         raise SolverError("singular Jacobian") from exc
-            if not np.all(np.isfinite(delta)):
-                raise SolverError("singular Jacobian (non-finite update)")
             u = u + delta
         raise AssertionError("unreachable")
 

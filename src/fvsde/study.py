@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .fields import CellField
 from .mesh import (TensorMesh, build_tensor_mesh, cell_average, inject,
                    injection_map, refine, validate_admissibility)
-from .noise import NoisePath, TimeGrid, coarsen, sample_path
+from .noise import MAX_FINE_STEPS, NoisePath, TimeGrid, coarsen, sample_path
 from .presets import get_preset
 from .projections import (SmoothFunctionSpec, centered_projection,
                           elliptic_projection, elliptic_residual)
@@ -105,8 +105,9 @@ class StudyConfig:
             raise ConfigError("levels must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.ref_steps < 1:
-            raise ConfigError("ref_steps must be >= 1")
+        if not 1 <= self.ref_steps <= MAX_FINE_STEPS:
+            raise ConfigError(f"ref_steps must lie in [1, 2**23] (exact noise "
+                              f"lattice sums), got {self.ref_steps}")
         for n in self.steps:
             if n < 1 or self.ref_steps % n != 0:
                 raise ConfigError(

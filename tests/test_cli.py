@@ -156,6 +156,7 @@ def test_projections_subcommand(tmp_path):
     ["projections", "--levels", "2"],
     ["temporal", "--mesh", "4x4x4"],
     ["projections", "--mesh", "1x1"],
+    ["temporal", "--ref-steps", "16777216"],
 ])
 def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2

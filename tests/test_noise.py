@@ -96,3 +96,25 @@ def test_sample_path_validation():
         sample_path(1, 0, 0, 1.0)
     with pytest.raises(ValueError):
         sample_path(1, 0, 16, -1.0)
+
+
+def test_sample_path_refuses_inexact_lattice_before_drawing():
+    # 2**23 + 1 fine steps break exact partial sums for |z| <= 8; refused
+    # before the 64 MB draw
+    with pytest.raises(ValueError, match=r"2\*\*23"):
+        sample_path(1, 0, 2**23 + 1, 1.0)
+
+
+def test_sample_path_refuses_oversized_draw(monkeypatch):
+    # a draw so far out that n_fine * max|k| reaches 2**53 is refused after
+    # drawing; no Philox draw goes that far, so the generator is replaced
+    class HugeDraws:
+        def __init__(self, bit_generator):
+            pass
+
+        def standard_normal(self, n):
+            return np.full(n, 1e6)
+
+    monkeypatch.setattr(np.random, "Generator", HugeDraws)
+    with pytest.raises(ValueError, match="standard deviations"):
+        sample_path(1, 0, 1024, 1.0)

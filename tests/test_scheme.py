@@ -5,7 +5,7 @@ import pytest
 
 import fvsde.discrete_ops as ops
 from fvsde.discrete_ops import discrete_l2_norm, mass
-from fvsde.errors import StabilityWarning, StepFailure
+from fvsde.errors import SolverError, StabilityWarning, StepFailure
 from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, cell_average
 from fvsde.noise import NoisePath, TimeGrid, brownian_values, sample_path
@@ -254,15 +254,51 @@ def test_states_depend_only_on_past_increments():
 
 
 def test_step_failure_carries_step_index():
-    problem = get_preset("nonlinear")
-    mesh = build_tensor_mesh(problem.domain, (4, 4))
-    grid = TimeGrid(4, problem.horizon)
-    path = sample_path(3, 3, 4, problem.horizon)
-    params = StepperParams(max_newton_iterations=0)
-    with pytest.raises(StepFailure) as info:
-        run_path(problem, mesh, grid, path, params)
-    assert info.value.step == 1
-    assert info.value.residual is not None and info.value.residual > 0.0
+    # the affine preset takes the direct step when iterations are allowed;
+    # with none it must fail the residual check at u^{n-1} like Newton does
+    for preset in ("nonlinear", "stochastic"):
+        problem = get_preset(preset)
+        mesh = build_tensor_mesh(problem.domain, (4, 4))
+        grid = TimeGrid(4, problem.horizon)
+        path = sample_path(3, 3, 4, problem.horizon)
+        params = StepperParams(max_newton_iterations=0)
+        with pytest.raises(StepFailure) as info:
+            run_path(problem, mesh, grid, path, params)
+        assert info.value.step == 1
+        assert info.value.residual is not None and info.value.residual > 0.0
+
+
+def test_non_finite_step_is_a_solver_error():
+    problem = _custom("blowup", 1.0,
+                      g=lambda u: np.full_like(np.asarray(u, dtype=float), np.inf))
+    mesh = build_tensor_mesh(UNIT_SQUARE, (3, 3))
+    path = NoisePath(0.2, 1, np.array([0.5]), 0, 0)
+    with pytest.raises(SolverError) as info:
+        run_path(problem, mesh, TimeGrid(1, 0.2), path)
+    assert not isinstance(info.value, StepFailure)
+
+
+def test_direct_step_checks_the_true_residual():
+    # flagged affine but f(u) = u + 0.1 tanh(u): the LU of the Jacobian at
+    # zero is only a chord, so some step needs a second iteration, and every
+    # step must still meet the residual contract with the true f
+    problem = dataclasses.replace(
+        get_preset("stochastic"),
+        f=lambda u: u + 0.1 * np.tanh(u),
+        f_prime=lambda u: 1.0 + 0.1 / np.cosh(u) ** 2)
+    assert problem.f_is_linear
+    mesh = build_tensor_mesh(problem.domain, (8, 8))
+    grid = TimeGrid(8, problem.horizon)
+    path = sample_path(4, 0, 8, problem.horizon)
+    params = StepperParams()
+    traj = run_path(problem, mesh, grid, path, params)
+    assert max(traj.newton_iterations) >= 2
+    ws = build_workspace(problem, mesh, grid.tau)
+    for n in range(1, grid.n_steps + 1):
+        prev = traj.states[n - 1]
+        r = ws.residual(traj.states[n], prev, traj.increments[n - 1])
+        scale = max(1.0, np.sqrt(np.sum(mesh.measures * prev**2)))
+        assert np.sqrt(np.sum(r * r / mesh.measures)) <= params.newton_tol * scale
 
 
 def test_stability_warning_on_large_tau_lbeta():

@@ -140,6 +140,7 @@ def test_config_validation_errors():
         ("temporal", {"mesh": (4, 4, 4)}),
         ("spatial", {"preset": "heat3d", "mesh": (4, 4)}),
         ("projections", {"mesh": (4, 4, 4)}),
+        ("temporal", {"ref_steps": 2**24, "steps": (8, 16)}),
     ]
     for study, overrides in bad:
         with pytest.raises(ConfigError):
