@@ -18,8 +18,7 @@ from .discrete_ops import (EdgeVelocity, TpfaOperator, apply_tpfa_laplacian,
                            poincare_constant_estimate, upwind_cells,
                            upwind_trace)
 from .noise import NoisePath, TimeGrid, brownian_values, coarsen, sample_path
-from .scheme import (ProblemSpec, StepperParams, Trajectory, assemble_residual,
-                     newton_advance, run_path)
+from .scheme import ProblemSpec, StepperParams, Trajectory, run_path
 from .projections import (SmoothFunctionSpec, centered_projection,
                           elliptic_projection, projection_error_report)
 from .presets import PRESETS, closed_form_heat_reference, get_preset

@@ -11,15 +11,19 @@ dW_n, the new vector u^n solves, for every control volume K,
 with u_sigma the upstream value (u_K when v_{K,sigma} >= 0, else u_L).  The
 noise coefficient is explicit, everything else implicit.
 
-StepWorkspace.advance takes one step of one path.  For affine f and beta
-(the rate-study presets) the Jacobian J is constant and factorized once per
-workspace, and the step solves J u = m (u^{n-1} + g(u^{n-1}) dW_n)
-directly: Newton's first iterate from u^{n-1}.  The true residual (with f,
-beta, g) is then checked, and Newton continues on the same factorization
-while it is above tolerance.  Other coefficients run Newton with a fresh
-Jacobian and sparse solve per iteration.  Every solve has one right-hand
-side: with several, the BLAS kernels behind SuperLU can change a column's
-bits with the number of columns.
+StepWorkspace.advance takes one step of one path.  The Jacobian J always
+has the same sparsity pattern (the diagonal, the two-point flux stiffness
+and the upwind convection entries), built once per workspace; only its
+values depend on the state.  For affine f and beta (the rate-study presets)
+J is constant and factorized once per workspace by SuperLU, and the step
+solves J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly: Newton's first iterate
+from u^{n-1}.  The true residual (with f, beta, g) is then checked, and
+Newton continues on the same factorization while it is above tolerance.
+Other coefficients run Newton with J's values filled into the fixed pattern
+at every iterate and factorized by LAPACK's banded LU with partial pivoting
+(dgbtrf/dgbtrs), whose cost is O(n b^2) for half-bandwidth b.  Every solve
+has one right-hand side: with several, the BLAS kernels behind SuperLU can
+change a column's bits with the number of columns.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.linalg import splu
 
 from . import discrete_ops as ops
 from .discrete_ops import EdgeVelocity, TpfaOperator
@@ -45,8 +50,6 @@ __all__ = [
     "StepperParams",
     "StepWorkspace",
     "Trajectory",
-    "assemble_residual",
-    "newton_advance",
     "run_path",
     "build_workspace",
     "integrate_workspace",
@@ -147,9 +150,14 @@ class StepWorkspace:
     Holds the mass vector, the assembled stiffness, one sparse upwind
     convection matrix (tau m_sigma v_{K,sigma} from each cell's upstream
     cell, or None without convection), which the residual and the Jacobian
-    share, and, for affine f and beta, one reusable LU factorization of the
-    constant Jacobian.  Monte Carlo drivers build a workspace per level once
-    and push many paths through it.
+    share, and the Jacobian's fixed CSR pattern with the position in it of
+    every diagonal, stiffness and convection entry.  For affine f and beta
+    it also holds one reusable SuperLU factorization of the constant
+    Jacobian (`lu`); otherwise `lu` is None and it holds the map from the
+    pattern into LAPACK band storage, so that a Newton iteration fills one
+    value vector and factorizes it as a banded LU, with no sparse-matrix
+    construction.  Monte Carlo drivers build a workspace per level once and
+    push many paths through it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,
@@ -161,19 +169,32 @@ class StepWorkspace:
         self.m = mesh.measures
         self.stiffness = self.tpfa.stiffness
         self.edge_vel = edge_vel
+        n = mesh.n_cells
         self.conv = None
         if edge_vel is not None and np.any(edge_vel.values != 0.0):
             flux = self.tau * (mesh.edge_measures * edge_vel.values)
             upwind = ops.upwind_cells(edge_vel)
-            n = mesh.n_cells
             self.conv = sp.coo_matrix(
                 (np.concatenate([flux, -flux]),
                  (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]]),
                   np.concatenate([upwind, upwind]))),
                 shape=(n, n)).tocsr()
+        self._indices, self._indptr, positions = _jacobian_pattern(
+            n, [a for a in (self.stiffness, self.conv) if a is not None])
+        self._diag_pos, self._stiff_pos, *conv_pos = positions
+        self._conv_pos = conv_pos[0] if conv_pos else None
         self.lu = None
         if problem.f_is_linear and problem.beta_is_linear:
-            self.lu = self._factorize(self.jacobian(np.zeros(mesh.n_cells)))
+            self.lu = self._factorize(self.jacobian(np.zeros(n)))
+        else:
+            # Entry (i, j) goes to row 2b + i - j, column j of the
+            # (3b + 1, n) band array; dgbtrf fills the top b rows.
+            rows = _csr_rows(self._indptr)
+            cols = self._indices.astype(np.int64)
+            self._half_band = int(np.max(np.abs(rows - cols)))
+            self._ldab = 3 * self._half_band + 1
+            self._band_pos = (cols * self._ldab + 2 * self._half_band
+                              + rows - cols)
 
     @staticmethod
     def _factorize(matrix):
@@ -201,16 +222,38 @@ class StepWorkspace:
         r -= self.tau * self.m * np.asarray(p.beta(candidate))
         return r
 
-    def jacobian(self, candidate: np.ndarray):
+    def jacobian(self, candidate: np.ndarray) -> sp.csr_matrix:
+        """The Jacobian of the residual at a candidate state, in CSR."""
+        n = self.mesh.n_cells
+        return sp.csr_matrix(
+            (self._jacobian_data(candidate), self._indices, self._indptr),
+            shape=(n, n), copy=True)
+
+    def _jacobian_data(self, candidate: np.ndarray) -> np.ndarray:
+        """The Jacobian's values on the fixed pattern, summed in the order
+        diag(m (1 - tau beta'(u))) + tau A + conv diag(f'(u))."""
         p = self.problem
-        diag = self.m * (1.0 - self.tau * np.asarray(p.beta_prime(candidate)))
-        j = sp.diags(diag) + self.tau * self.stiffness
+        data = np.zeros(len(self._indices))
+        data[self._diag_pos] = self.m * (
+            1.0 - self.tau * np.asarray(p.beta_prime(candidate)))
+        data[self._stiff_pos] += self.tau * self.stiffness.data
         if self.conv is not None:
             # conv @ diag(f'(u)), by scaling each stored entry by its column
-            conv = self.conv.copy()
-            conv.data *= np.asarray(p.f_prime(candidate))[conv.indices]
-            j = j + conv
-        return j
+            data[self._conv_pos] += (
+                self.conv.data
+                * np.asarray(p.f_prime(candidate))[self.conv.indices])
+        return data
+
+    def _newton_solve(self, candidate: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+        """Solve J(candidate) x = rhs by a banded LU with partial pivoting."""
+        b = self._half_band
+        band = np.zeros((self.mesh.n_cells, self._ldab))
+        band.put(self._band_pos, self._jacobian_data(candidate))
+        lu, piv, info = dgbtrf(band.T, b, b, overwrite_ab=True)
+        if info > 0:
+            raise SolverError("singular Jacobian")
+        return dgbtrs(lu, b, b, rhs, piv, overwrite_b=True)[0]
 
     def advance(self, previous: np.ndarray, d_w: float,
                 params: StepperParams) -> tuple[np.ndarray, int, float]:
@@ -243,14 +286,28 @@ class StepWorkspace:
             if self.lu is not None:
                 delta = self.lu.solve(-r)
             else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
-                    try:
-                        delta = spsolve(self.jacobian(u).tocsr(), -r)
-                    except sp.linalg.MatrixRankWarning as exc:
-                        raise SolverError("singular Jacobian") from exc
+                delta = self._newton_solve(u, -r)
             u = u + delta
         raise AssertionError("unreachable")
+
+
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
+                     np.diff(indptr))
+
+
+def _jacobian_pattern(n: int, matrices: list[sp.csr_matrix]):
+    """CSR indices and indptr of the union of the n x n diagonal and the
+    stored entries of `matrices`, with the positions in it of the diagonal
+    and of each matrix's entries, in storage order."""
+    # Keyed row * n + column, sorted keys are CSR order.
+    keys = [np.arange(n, dtype=np.int64) * (n + 1)]
+    keys += [_csr_rows(a.indptr) * n + a.indices for a in matrices]
+    union = np.unique(np.concatenate(keys))
+    indptr = np.searchsorted(union // n, np.arange(n + 1))
+    return ((union % n).astype(np.int32), indptr.astype(np.int32),
+            [np.searchsorted(union, k) for k in keys])
 
 
 def _check_stability(problem: ProblemSpec, tau: float, params: StepperParams):
@@ -259,27 +316,6 @@ def _check_stability(problem: ProblemSpec, tau: float, params: StepperParams):
             f"tau * L_beta = {tau * problem.lipschitz_beta:.3g} exceeds "
             f"{params.stability_margin}; the implicit reaction solve may lose "
             f"its contraction margin", StabilityWarning, stacklevel=3)
-
-
-def assemble_residual(problem: ProblemSpec, candidate: CellField,
-                      previous: CellField, d_w: float,
-                      edge_vel: EdgeVelocity | None, tau: float) -> CellField:
-    """Per-cell residual of the implicit system at a candidate state."""
-    ws = StepWorkspace(problem, candidate.mesh, tau, edge_vel)
-    return CellField(candidate.mesh,
-                     ws.residual(candidate.values, previous.values, d_w))
-
-
-def newton_advance(problem: ProblemSpec, previous: CellField, d_w: float,
-                   edge_vel: EdgeVelocity | None, tau: float,
-                   params: StepperParams | None = None,
-                   ) -> tuple[CellField, int, float]:
-    """Solve one implicit step; returns (state, iterations, residual norm)."""
-    params = params or StepperParams()
-    _check_stability(problem, tau, params)
-    ws = StepWorkspace(problem, previous.mesh, tau, edge_vel)
-    u, it, rnorm = ws.advance(previous.values, d_w, params)
-    return CellField(previous.mesh, u), it, rnorm
 
 
 def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,

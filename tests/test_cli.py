@@ -130,6 +130,18 @@ def test_reproducible_csv_across_runs_and_workers(tmp_path):
         _read(out2 / "temporal_summary.json")
 
 
+def test_newton_path_csv_identical_across_runs_and_workers(tmp_path):
+    # the nonlinear preset steps through the banded LAPACK solve
+    args = ["temporal", "--preset", "nonlinear", "--mesh", "16x16",
+            "--steps", "2,4", "--ref-steps", "8", "--paths", "4"]
+    runs = [(tmp_path / name, workers) for name, workers
+            in (("w1", "1"), ("w2", "2"), ("rerun", "1"))]
+    for out, workers in runs:
+        assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+    first, *others = (_read(out / "temporal_rates.csv") for out, _ in runs)
+    assert all(other == first for other in others)
+
+
 def test_hoelder_subcommand_emits_both_tables(tmp_path):
     out = tmp_path / "h"
     code = main(["hoelder", "--mesh", "8x8", "--ref-steps", "64",

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fvsde.discrete_ops as ops
 from fvsde.discrete_ops import discrete_l2_norm, mass
@@ -11,8 +12,7 @@ from fvsde.mesh import build_tensor_mesh, cell_average
 from fvsde.noise import NoisePath, TimeGrid, brownian_values, sample_path
 from fvsde.presets import get_preset, stream_velocity
 from fvsde.scheme import (ProblemSpec, StepperParams, StepWorkspace,
-                          assemble_residual, build_workspace,
-                          energy_balance_defects, newton_advance, run_path,
+                          build_workspace, energy_balance_defects, run_path,
                           trajectory_mass_defects)
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
@@ -59,9 +59,9 @@ def test_problem_spec_rejects_bad_coefficients():
 def test_residual_zero_at_diffusive_steady_state():
     problem = _custom("steady", 3.0)
     mesh = build_tensor_mesh(UNIT_SQUARE, (4, 4))
-    state = CellField(mesh, np.full(16, 3.0))
-    r = assemble_residual(problem, state, state, 0.0, None, tau=0.05)
-    np.testing.assert_allclose(r.values, 0.0, atol=1e-14)
+    state = np.full(16, 3.0)
+    r = StepWorkspace(problem, mesh, 0.05, None).residual(state, state, 0.0)
+    np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
 
 def test_residual_sum_telescopes_to_closed_form():
@@ -70,17 +70,17 @@ def test_residual_sum_telescopes_to_closed_form():
     problem = get_preset("stochastic")
     mesh = build_tensor_mesh(UNIT_SQUARE, (6, 6))
     rng = np.random.default_rng(42)
-    cand = CellField(mesh, rng.standard_normal(36))
-    prev = CellField(mesh, rng.standard_normal(36))
+    cand = rng.standard_normal(36)
+    prev = rng.standard_normal(36)
     tau, d_w = 0.01, 0.37
     ev = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
-    r = assemble_residual(problem, cand, prev, d_w, ev, tau)
+    r = StepWorkspace(problem, mesh, tau, ev).residual(cand, prev, d_w)
     m = mesh.measures
-    expected = (np.sum(m * (cand.values - prev.values))
-                - d_w * np.sum(m * problem.g(prev.values))
-                - tau * np.sum(m * problem.beta(cand.values)))
-    scale = np.sum(np.abs(r.values)) + 1.0
-    assert abs(r.values.sum() - expected) <= 1e-13 * scale
+    expected = (np.sum(m * (cand - prev))
+                - d_w * np.sum(m * problem.g(prev))
+                - tau * np.sum(m * problem.beta(cand)))
+    scale = np.sum(np.abs(r)) + 1.0
+    assert abs(r.sum() - expected) <= 1e-13 * scale
 
 
 def test_newton_one_iteration_for_affine_problem():
@@ -143,6 +143,53 @@ def test_jacobian_matches_finite_differences():
         dn = u.copy(); dn[j] -= eps
         col = (ws.residual(up, prev, 0.0) - ws.residual(dn, prev, 0.0)) / (2 * eps)
         np.testing.assert_allclose(jac[:, j], col, atol=1e-6)
+
+
+def _jacobian_as_sparse_sum(ws, u):
+    """The Jacobian as sparse sums: diag(m (1 - tau beta'(u))) + tau A, plus
+    the convection matrix with each entry scaled by f' of its column."""
+    p = ws.problem
+    j = (sp.diags(ws.m * (1.0 - ws.tau * p.beta_prime(u)))
+         + ws.tau * ws.stiffness)
+    if ws.conv is not None:
+        conv = ws.conv.copy()
+        conv.data *= p.f_prime(u)[conv.indices]
+        j = j + conv
+    return j.toarray()
+
+
+@pytest.mark.parametrize("problem, cells, convection", [
+    (get_preset("nonlinear"), (4, 4), True),
+    (dataclasses.replace(get_preset("nonlinear"), velocity=None), (4, 4),
+     False),
+    (get_preset("nonlinear"), (5, 3), True),
+    (get_preset("nonlinear"), (1, 1), False),   # no interior edges
+])
+def test_fixed_pattern_jacobian_equals_sparse_sum(problem, cells, convection):
+    mesh = build_tensor_mesh(problem.domain, cells)
+    ws = build_workspace(problem, mesh, 0.01)
+    assert ws.lu is None
+    assert (ws.conv is not None) == convection
+    u = np.random.default_rng(5).standard_normal(mesh.n_cells)
+    assert np.array_equal(ws.jacobian(u).toarray(), _jacobian_as_sparse_sum(ws, u))
+
+
+def test_singular_newton_jacobian_is_a_solver_error():
+    # beta(u) = 4u flagged non-linear with tau = 1/4 leaves J = tau A, whose
+    # kernel holds the constants.  On two cells the elimination is exact and
+    # meets a zero pivot; on 2x2 rounding leaves a tiny one and Newton stalls.
+    problem = dataclasses.replace(
+        _custom("singular", 1.0, beta=lambda u: 4.0 * np.asarray(u),
+                beta_prime=lambda u: np.full_like(u, 4.0), f=np.tanh,
+                f_prime=lambda u: 1.0 - np.tanh(u)**2, horizon=0.25,
+                lipschitz_beta=4.0),
+        f_is_linear=False, beta_is_linear=False)
+    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 1))
+    with pytest.warns(StabilityWarning), \
+            pytest.raises(SolverError, match="^singular Jacobian$") as exc:
+        run_path(problem, mesh, TimeGrid(1, 0.25),
+                 NoisePath(0.25, 1, np.zeros(1), 0, 0))
+    assert not isinstance(exc.value, StepFailure)
 
 
 def test_nonlinear_newton_converges():
@@ -305,17 +352,18 @@ def test_stability_warning_on_large_tau_lbeta():
     problem = _custom("stiff_reaction", 1.0, beta=_identity, beta_prime=_one,
                       f=_zero, f_prime=_zero, horizon=0.8, lipschitz_beta=1.0)
     mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
-    prev = CellField(mesh, np.ones(4))
     with pytest.warns(StabilityWarning):
-        newton_advance(problem, prev, 0.0, None, tau=0.8)
+        run_path(problem, mesh, TimeGrid(1, 0.8),
+                 NoisePath(0.8, 1, np.zeros(1), 0, 0))
 
 
 def test_newton_advance_matches_run_path_step():
     problem = get_preset("diffusion")
     mesh = build_tensor_mesh(problem.domain, (6, 6))
     prev = cell_average(problem.u0, mesh)
-    state, iterations, residual = newton_advance(problem, prev, 0.0, None,
-                                                 tau=0.01)
+    u, iterations, residual = StepWorkspace(problem, mesh, 0.01, None).advance(
+        prev.values, 0.0, StepperParams())
+    state = CellField(mesh, u)
     grid = TimeGrid(1, 0.01 * 1)
     # same tau, zero noise: one run_path step must agree bitwise
     horizon_problem = get_preset("diffusion")
