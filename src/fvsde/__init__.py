@@ -12,8 +12,8 @@ from .fields import CellField
 from .mesh import (AdmissibilityReport, TensorMesh, build_tensor_mesh,
                    cell_average, inject, injection_map, mesh_regularity,
                    refine, validate_admissibility)
-from .discrete_ops import (EdgeVelocity, TpfaOperator, apply_tpfa_laplacian,
-                           dibp_gap, discrete_h1_seminorm, discrete_l2_norm,
+from .discrete_ops import (EdgeVelocity, TpfaOperator, dibp_gap,
+                           discrete_h1_seminorm, discrete_l2_norm,
                            edge_velocity, l2_error_vs_function, mass,
                            poincare_constant_estimate, upwind_cells,
                            upwind_trace)
@@ -22,8 +22,8 @@ from .scheme import ProblemSpec, StepperParams, Trajectory, run_path
 from .projections import (SmoothFunctionSpec, centered_projection,
                           elliptic_projection, projection_error_report)
 from .presets import PRESETS, closed_form_heat_reference, get_preset
-from .study import (HoelderReport, PropertyReport, RateReport, StudyConfig,
-                    default_config, fit_rate, mc_mean_ci,
+from .stats import fit_rate, mc_mean_ci
+from .study import (HoelderReport, RateReport, StudyConfig, default_config,
                     run_coupled_rate_study, run_hoelder_diagnostic,
-                    run_property_suite, run_spatial_rate_study,
-                    run_temporal_rate_study)
+                    run_spatial_rate_study, run_temporal_rate_study)
+from .properties import PropertyReport, run_property_suite

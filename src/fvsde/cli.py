@@ -15,19 +15,17 @@ import sys
 import time
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, FvsdeError, SolverError
 from .mesh import build_tensor_mesh, refine, validate_admissibility
-from .projections import SmoothFunctionSpec, projection_error_report
+from .projections import cosine_mode_spec, projection_error_report
+from .properties import run_property_suite
 from .reporting import (RunManifest, fmt, property_report_text,
                         rate_report_csv, rate_report_summary, svg_loglog,
                         write_json, write_manifest, write_text)
 from .study import (STUDIES, StudyConfig, default_config,
                     run_coupled_rate_study, run_hoelder_diagnostic,
-                    run_property_suite, run_spatial_rate_study,
-                    run_temporal_rate_study)
+                    run_spatial_rate_study, run_temporal_rate_study)
 
 ENV_PREFIX = "FVSDE_"
 
@@ -40,8 +38,8 @@ def _parse_mesh(text: str) -> tuple[int, ...]:
         parts = tuple(int(p) for p in text.lower().split("x"))
     except ValueError:
         raise ConfigError(f"cannot parse mesh spec {text!r} (want NxM or NxMxP)")
-    if len(parts) not in (2, 3):
-        raise ConfigError(f"mesh spec {text!r} must have 2 or 3 axes")
+    if len(parts) not in (2, 3) or min(parts) < 1:
+        raise ConfigError(f"mesh spec {text!r} needs 2 or 3 positive counts")
     return parts
 
 
@@ -77,20 +75,25 @@ def _coerce(key: str, value: str):
 
 
 def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: "
+                          f"{exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text") from None
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, value)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = _coerce(key, value)
     return out
 
 
@@ -133,16 +136,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--preset", help="problem preset name")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--paths", type=int, help="Monte Carlo path count")
-        p.add_argument("--levels", type=int, help="number of refinement levels")
+        p.add_argument("--seed", help="master seed")
+        p.add_argument("--paths", help="Monte Carlo path count")
+        p.add_argument("--levels", help="number of refinement levels")
         p.add_argument("--steps", help="comma-separated step-count chain")
-        p.add_argument("--ref-steps", type=int, dest="ref_steps",
+        p.add_argument("--ref-steps", dest="ref_steps",
                        help="reference (finest) step count")
         p.add_argument("--mesh", help="base mesh, e.g. 32x32 or 8x8x8")
-        p.add_argument("--workers", type=int, help="worker processes")
+        p.add_argument("--workers", help="worker processes")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--left-interpolant", action="store_const", const=True,
+        p.add_argument("--left-interpolant", action="store_const", const="1",
                        dest="left_interpolant",
                        help="compare at nodes with the left interpolant")
         return p
@@ -163,17 +166,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in ("preset", "seed", "paths", "levels", "ref_steps", "workers",
-                "left_interpolant", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    if getattr(args, "mesh", None) is not None:
-        out["mesh"] = _parse_mesh(args.mesh)
-    if getattr(args, "steps", None) is not None:
-        out["steps"] = _parse_steps(args.steps)
-    return out
+    """The flags given, parsed like config-file values."""
+    given = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    return {key: _coerce(key, v) for key, v in given.items() if v is not None}
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: "
+                          f"{exc.strerror}") from None
 
 
 def _emit_rate_outputs(report, out_dir: str, stem: str) -> list[str]:
@@ -195,6 +198,7 @@ def _run_study_command(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     config = parse_config(args.command, args.config, _cli_overrides(args))
     out_dir = config.out_dir or f"fvsde-out-{config.study}"
+    _make_out_dir(out_dir)
     outputs: list[str] = []
     status = 0
 
@@ -206,17 +210,10 @@ def _run_study_command(args: argparse.Namespace) -> int:
         write_text(path, text)
         outputs.append(path)
         status = 0 if report.all_passed else 1
-    elif config.study == "spatial":
-        report = run_spatial_rate_study(config)
-        outputs += _emit_rate_outputs(report, out_dir, "spatial")
-        _print_report(report)
-    elif config.study == "temporal":
-        report = run_temporal_rate_study(config)
-        outputs += _emit_rate_outputs(report, out_dir, "temporal")
-        _print_report(report)
-    elif config.study == "coupled":
-        report = run_coupled_rate_study(config)
-        outputs += _emit_rate_outputs(report, out_dir, "coupled")
+    elif config.study in ("spatial", "temporal", "coupled"):
+        # looked up at call time, so that a replaced module global is used
+        report = globals()[f"run_{config.study}_rate_study"](config)
+        outputs += _emit_rate_outputs(report, out_dir, config.study)
         _print_report(report)
     elif config.study == "hoelder":
         pair = run_hoelder_diagnostic(config)
@@ -250,20 +247,11 @@ def _print_report(report) -> None:
         f"over {len(report.rows)} levels{flag}\n")
 
 
-def _projection_spec() -> SmoothFunctionSpec:
-    return SmoothFunctionSpec(
-        fn=lambda x: np.cos(np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1]),
-        laplacian=lambda x: -5.0 * np.pi**2 * np.cos(np.pi * x[:, 0])
-        * np.cos(2 * np.pi * x[:, 1]),
-        domain=((0.0, 1.0), (0.0, 1.0)),
-    )
-
-
 def _run_projections(config: StudyConfig, out_dir: str) -> list[str]:
     meshes = [build_tensor_mesh(((0.0, 1.0), (0.0, 1.0)), config.mesh)]
     for _ in range(config.levels - 1):
         meshes.append(refine(meshes[-1]))
-    report = projection_error_report(_projection_spec(), meshes)
+    report = projection_error_report(cosine_mode_spec(), meshes)
     lines = ["h,elliptic_error,centered_error,seminorm_gap"]
     for h, e1, e2, e3 in report.rows():
         lines.append(",".join(fmt(v) for v in (h, e1, e2, e3)))
@@ -281,8 +269,10 @@ def _run_projections(config: StudyConfig, out_dir: str) -> list[str]:
 
 
 def _run_mesh_info(args: argparse.Namespace) -> int:
-    mesh = build_tensor_mesh([(0.0, 1.0)] * len(_parse_mesh(args.mesh)),
-                             _parse_mesh(args.mesh))
+    counts = _parse_mesh(args.mesh)
+    if args.out:
+        _make_out_dir(args.out)
+    mesh = build_tensor_mesh([(0.0, 1.0)] * len(counts), counts)
     report = validate_admissibility(mesh)
     summary = mesh.to_summary_dict()
     summary["admissibility_violations"] = report.violations

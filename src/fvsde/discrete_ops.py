@@ -31,7 +31,6 @@ __all__ = [
     "discrete_l2_norm",
     "mass",
     "discrete_h1_seminorm",
-    "apply_tpfa_laplacian",
     "edge_velocity",
     "upwind_cells",
     "upwind_trace",
@@ -55,8 +54,6 @@ class EdgeVelocity:
     """
 
     mesh: TensorMesh
-    t_start: float
-    t_end: float
     values: np.ndarray
 
 
@@ -93,35 +90,25 @@ def mass(field: CellField) -> float:
     return float(np.sum(field.mesh.measures * field.values))
 
 
-def h1_seminorm_values(mesh: TensorMesh, values: np.ndarray) -> float:
+def discrete_h1_seminorm(field: CellField) -> float:
+    mesh, values = field.mesh, field.values
     diff = values[mesh.edge_cells[:, 0]] - values[mesh.edge_cells[:, 1]]
     return float(np.sqrt(np.sum(mesh.transmissibilities * diff**2)))
 
 
-def discrete_h1_seminorm(field: CellField) -> float:
-    return h1_seminorm_values(field.mesh, field.values)
-
-
-def apply_tpfa_laplacian(field: CellField, op: TpfaOperator | None = None) -> CellField:
-    if op is None:
-        op = TpfaOperator(field.mesh)
-    return CellField(field.mesh, op.laplacian_values(field.values))
-
-
 def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
-                  mesh: TensorMesh, t_start: float, t_end: float,
-                  space_order: int = QUADRATURE_ORDER,
-                  time_order: int = 2) -> EdgeVelocity:
+                  mesh: TensorMesh, t_start: float,
+                  t_end: float) -> EdgeVelocity:
     """Average of v . n_{K,sigma} over each interior face and (t_start, t_end].
 
-    Tensor Gauss quadrature: `space_order` points per tangential axis and
-    `time_order` points in time.  The approximation error is quadrature
-    limited, not modeled.
+    Tensor Gauss quadrature: QUADRATURE_ORDER points per tangential axis and
+    2 points in time.  The approximation error is quadrature limited, not
+    modeled.
     """
     if not t_end > t_start:
         raise ValueError("empty time interval")
-    gx, gw = gauss_rule(space_order)
-    tx, tw = gauss_rule(time_order)
+    gx, gw = gauss_rule(QUADRATURE_ORDER)
+    tx, tw = gauss_rule(2)
     times = t_start + (t_end - t_start) * tx
     out = np.zeros(mesh.n_interior_edges)
     d = mesh.dimension
@@ -133,7 +120,7 @@ def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
         lo = mesh.edge_lower[idx]
         ext = mesh.edge_upper[idx] - mesh.edge_lower[idx]
         acc = np.zeros(idx.size)
-        for combo in np.ndindex(*([space_order] * len(tang))):
+        for combo in np.ndindex(*([QUADRATURE_ORDER] * len(tang))):
             pts = np.empty((idx.size, d))
             pts[:, a] = mesh.edge_planes[idx]
             w_sp = 1.0
@@ -144,7 +131,7 @@ def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
                 v = np.asarray(velocity(float(t), pts), dtype=float)
                 acc += w_sp * tw[ti] * v[:, a]
         out[idx] = acc
-    return EdgeVelocity(mesh, float(t_start), float(t_end), out)
+    return EdgeVelocity(mesh, out)
 
 
 def upwind_cells(edge_vel: EdgeVelocity) -> np.ndarray:
@@ -203,15 +190,14 @@ def grounded_solver(op: TpfaOperator) -> Callable[[np.ndarray], np.ndarray]:
     return lambda b: np.concatenate([[0.0], lu.solve(b[1:])])
 
 
-def poincare_constant_estimate(mesh: TensorMesh, tol: float = 1e-8,
-                               max_iterations: int = 500,
-                               seed: int = 0) -> float:
+def poincare_constant_estimate(mesh: TensorMesh) -> float:
     """Smallest constant C_p with ||w||_2^2 <= C_p |w|_{1,h}^2 for zero-mean w.
 
     Equals the largest Rayleigh quotient w'Mw / w'Aw over mass-zero fields,
     computed by power iteration on the inverse stiffness restricted to the
     zero-mean complement (one grounded unknown makes the solve definite).
-    Iteration stops when the quotient changes by less than `tol` relatively.
+    Iteration stops when the quotient changes by less than 1e-8 relatively,
+    and fails after 500 iterations.
     """
     if mesh.n_cells < 2:
         raise ValueError("need at least 2 cells")
@@ -219,11 +205,11 @@ def poincare_constant_estimate(mesh: TensorMesh, tol: float = 1e-8,
     solve = grounded_solver(op)
     m = mesh.measures
     dom = float(m.sum())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     w = rng.standard_normal(mesh.n_cells)
     w -= np.dot(m, w) / dom
     quotient = None
-    for _ in range(max_iterations):
+    for _ in range(500):
         b = m * w
         y = solve(b)
         y -= np.dot(m, y) / dom
@@ -236,18 +222,18 @@ def poincare_constant_estimate(mesh: TensorMesh, tol: float = 1e-8,
         if norm == 0.0:
             raise SolverError("power iteration collapsed to zero")
         w = y / norm
-        if quotient is not None and abs(new_q - quotient) <= tol * new_q:
+        if quotient is not None and abs(new_q - quotient) <= 1e-8 * new_q:
             return new_q
         quotient = new_q
     raise SolverError("power iteration did not converge "
                       f"(last quotient {quotient!r})")
 
 
-def l2_error_vs_function(field: CellField, fn: Callable[[np.ndarray], np.ndarray],
-                         order: int = QUADRATURE_ORDER) -> float:
+def l2_error_vs_function(field: CellField,
+                         fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """True L2 distance between a smooth function and a cell field, by
     per-cell tensor Gauss quadrature of (fn - w_K)^2."""
     sq = cell_average(
         lambda x: (np.asarray(fn(x), dtype=float) - field.values) ** 2,
-        field.mesh, order)
+        field.mesh)
     return float(np.sqrt(np.sum(field.mesh.measures * sq.values)))

@@ -122,9 +122,9 @@ class TensorMesh:
 
     # -- export ------------------------------------------------------------
 
-    def to_summary_dict(self, include_entities: bool = True) -> dict:
+    def to_summary_dict(self) -> dict:
         """JSON-ready summary of the mesh (for debugging / mesh-info)."""
-        out = {
+        return {
             "dimension": self.dimension,
             "cell_counts": list(self.cell_counts),
             "lower": self.lower.tolist(),
@@ -137,25 +137,23 @@ class TensorMesh:
             "domain_measure": self.domain_measure,
             "cell_measure_sum": float(self.measures.sum()),
             "quadrature_order": QUADRATURE_ORDER,
-        }
-        if include_entities:
-            out["cells"] = {
+            "cells": {
                 "centers": self.centers.tolist(),
                 "measures": self.measures.tolist(),
                 "diameters": self.diameters.tolist(),
-            }
-            out["interior_edges"] = {
+            },
+            "interior_edges": {
                 "cells": self.edge_cells.tolist(),
                 "measures": self.edge_measures.tolist(),
                 "distances": self.edge_distances.tolist(),
                 "axis": self.edge_axis.tolist(),
-            }
-            out["boundary_edges"] = {
+            },
+            "boundary_edges": {
                 "cells": self.bedge_cells.tolist(),
                 "measures": self.bedge_measures.tolist(),
                 "axis": self.bedge_axis.tolist(),
-            }
-        return out
+            },
+        }
 
 
 def _broadcast_product(arrays: Sequence[np.ndarray], shape, skip_axis=None):
@@ -375,8 +373,7 @@ class AdmissibilityReport:
         return not self.violations
 
 
-def validate_admissibility(mesh: TensorMesh, ortho_tol: float = 1e-10,
-                           measure_tol: float = 1e-12) -> AdmissibilityReport:
+def validate_admissibility(mesh: TensorMesh) -> AdmissibilityReport:
     """Check the admissibility conditions and report violations.
 
     Checks: positive measures, cell measures summing to the domain measure,
@@ -389,31 +386,31 @@ def validate_admissibility(mesh: TensorMesh, ortho_tol: float = 1e-10,
         v.append("measure: non-positive cell measure")
     total = float(mesh.measures.sum())
     dom = mesh.domain_measure
-    if abs(total - dom) > measure_tol * dom:
+    if abs(total - dom) > 1e-12 * dom:
         v.append(f"measure: cell measures sum to {total!r}, domain is {dom!r}")
     inside = np.all((mesh.centers >= mesh.cell_lower - 1e-12) &
                     (mesh.centers <= mesh.cell_upper + 1e-12))
     if not inside:
         v.append("center: a center lies outside its closed cell")
 
-    for j in range(mesh.n_interior_edges):
-        k, l = mesh.edge_cells[j]
-        if k == l:
-            v.append(f"topology: edge {j} references one cell twice")
-            continue
-        t = mesh.centers[l] - mesh.centers[k]
-        norm_t = float(np.linalg.norm(t))
-        if norm_t <= 1e-14 * mesh.size_h:
-            v.append(f"zero-distance: edge {j} joins coincident centers")
-            continue
-        if abs(mesh.edge_distances[j] - norm_t) > 1e-10 * norm_t:
-            v.append(f"distance: edge {j} stores d_KL={mesh.edge_distances[j]!r} "
-                     f"but |x_K - x_L|={norm_t!r}")
-        n = mesh.edge_normals[j]
-        tangential = t - np.dot(t, n) * n
-        if np.linalg.norm(tangential) > ortho_tol * norm_t:
-            v.append(f"orthogonality: edge {j} center segment is not normal "
-                     f"to the face")
+    k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    t = mesh.centers[l] - mesh.centers[k]
+    norm_t = np.linalg.norm(t, axis=1)
+    n = mesh.edge_normals
+    tangential = np.linalg.norm(t - np.sum(t * n, axis=1)[:, None] * n, axis=1)
+    looped = k == l
+    coincident = ~looped & (norm_t <= 1e-14 * mesh.size_h)
+    measured = ~looped & ~coincident
+    far = measured & (np.abs(mesh.edge_distances - norm_t) > 1e-10 * norm_t)
+    skew = measured & (tangential > 1e-10 * norm_t)
+    v += [f"topology: edge {j} references one cell twice"
+          for j in np.flatnonzero(looped)]
+    v += [f"zero-distance: edge {j} joins coincident centers"
+          for j in np.flatnonzero(coincident)]
+    v += [f"distance: edge {j} stores d_KL={mesh.edge_distances[j]!r} "
+          f"but |x_K - x_L|={float(norm_t[j])!r}" for j in np.flatnonzero(far)]
+    v += [f"orthogonality: edge {j} center segment is not normal to the face"
+          for j in np.flatnonzero(skew)]
 
     closure = np.zeros((mesh.n_cells, mesh.dimension))
     scale = np.zeros(mesh.n_cells)
@@ -431,20 +428,20 @@ def validate_admissibility(mesh: TensorMesh, ortho_tol: float = 1e-10,
     return AdmissibilityReport(v)
 
 
-def cell_average(fn: Callable[[np.ndarray], np.ndarray], mesh: TensorMesh,
-                 order: int = QUADRATURE_ORDER) -> CellField:
+def cell_average(fn: Callable[[np.ndarray], np.ndarray],
+                 mesh: TensorMesh) -> CellField:
     """Per-cell mean of a scalar function, u_K = (1/m_K) int_K u.
 
-    Tensor Gauss quadrature with `order` points per axis; exact for
-    polynomials of degree 2*order - 1 per axis.
+    Tensor Gauss quadrature with QUADRATURE_ORDER points per axis; exact for
+    polynomials of degree 2*QUADRATURE_ORDER - 1 per axis.
     """
-    gx, gw = gauss_rule(order)
+    gx, gw = gauss_rule(QUADRATURE_ORDER)
     sps = mesh.spacings
-    # per-axis evaluation abscissae, shape (n_a, order)
+    # per-axis evaluation abscissae, shape (n_a, QUADRATURE_ORDER)
     pts = [mesh.nodes[a][:-1][:, None] + sps[a][:, None] * gx[None, :]
            for a in range(mesh.dimension)]
     acc = np.zeros(mesh.n_cells)
-    for combo in np.ndindex(*([order] * mesh.dimension)):
+    for combo in np.ndindex(*([QUADRATURE_ORDER] * mesh.dimension)):
         axes = [pts[a][:, combo[a]] for a in range(mesh.dimension)]
         grids = np.meshgrid(*axes, indexing="ij")
         x = np.stack([g.ravel() for g in grids], axis=1)
@@ -480,9 +477,6 @@ def injection_map(coarse: TensorMesh, fine: TensorMesh) -> np.ndarray:
     return np.ravel_multi_index([g.ravel() for g in grids], coarse.cell_counts)
 
 
-def inject(field: CellField, fine: TensorMesh,
-           mapping: np.ndarray | None = None) -> CellField:
+def inject(field: CellField, fine: TensorMesh) -> CellField:
     """Lift a coarse piecewise-constant field onto a nested finer mesh."""
-    if mapping is None:
-        mapping = injection_map(field.mesh, fine)
-    return CellField(fine, field.values[mapping])
+    return CellField(fine, field.values[injection_map(field.mesh, fine)])

@@ -4,9 +4,9 @@ Every preset satisfies the standing assumptions: f non-decreasing with
 f(0) = 0, beta(0) = 0, smooth g, and a divergence-free velocity tangential
 on the boundary of the unit box.  The stream-function velocity is
 
-    v = curl(psi),  psi = A sin(pi x1) sin(pi x2) / pi,
+    v = curl(psi),  psi = sin(pi x1) sin(pi x2) / pi,
 
-that is v = A (sin(pi x1) cos(pi x2), -cos(pi x1) sin(pi x2)).
+that is v = (sin(pi x1) cos(pi x2), -cos(pi x1) sin(pi x2)).
 
 The default stochastic preset carries a unit background state on top of the
 product-cosine mode; the background keeps the coupled time-refinement
@@ -18,6 +18,7 @@ datum decays so fast that the deterministic semigroup gap dominates).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -60,19 +61,15 @@ def closed_form_heat_reference(x: np.ndarray, t: float) -> np.ndarray:
     return math.exp(-d * math.pi**2 * t) * _cos_product(x)
 
 
-def stream_velocity(amplitude: float = 1.0) -> Callable[[float, np.ndarray], np.ndarray]:
+def stream_velocity(t: float, x: np.ndarray) -> np.ndarray:
     """Divergence-free 2D field, tangential on the unit square boundary."""
-
-    def v(t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        s1, c1 = np.sin(np.pi * x[:, 0]), np.cos(np.pi * x[:, 0])
-        s2, c2 = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
-        out[:, 0] = amplitude * s1 * c2
-        out[:, 1] = -amplitude * c1 * s2
-        return out
-
-    return v
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    s1, c1 = np.sin(np.pi * x[:, 0]), np.cos(np.pi * x[:, 0])
+    s2, c2 = np.sin(np.pi * x[:, 1]), np.cos(np.pi * x[:, 1])
+    out[:, 0] = s1 * c2
+    out[:, 1] = -c1 * s2
+    return out
 
 
 def heat_preset(dimension: int = 2) -> ProblemSpec:
@@ -86,7 +83,6 @@ def heat_preset(dimension: int = 2) -> ProblemSpec:
         beta=_zero, beta_prime=_zero,
         g=_zero,
         velocity=None,
-        lipschitz_f=1.0, lipschitz_beta=0.0, lipschitz_g=0.0,
         f_is_linear=True, beta_is_linear=True,
         exact_solution=closed_form_heat_reference,
     )
@@ -115,8 +111,8 @@ def stochastic_preset() -> ProblemSpec:
         f=_identity, f_prime=_one,
         beta=_beta_linear, beta_prime=_beta_linear_prime,
         g=_g_multiplicative,
-        velocity=stream_velocity(1.0),
-        lipschitz_f=1.0, lipschitz_beta=0.2, lipschitz_g=0.5,
+        velocity=stream_velocity,
+        lipschitz_beta=0.2,
         f_is_linear=True, beta_is_linear=True,
     )
 
@@ -125,80 +121,8 @@ def _g_const_half(u):
     return np.full_like(np.asarray(u, dtype=float), 0.5)
 
 
-def additive_preset() -> ProblemSpec:
-    """g identically 0.5, beta = 0: the mass of u_h is an exact martingale."""
-    return ProblemSpec(
-        name="additive",
-        domain=UNIT_SQUARE,
-        horizon=0.25,
-        u0=_lifted_cos_product,
-        f=_identity, f_prime=_one,
-        beta=_zero, beta_prime=_zero,
-        g=_g_const_half,
-        velocity=stream_velocity(1.0),
-        lipschitz_f=1.0, lipschitz_beta=0.0, lipschitz_g=0.0,
-        f_is_linear=True, beta_is_linear=True,
-    )
-
-
-def convection_preset() -> ProblemSpec:
-    """Deterministic upwind convection-diffusion (g = 0, beta = 0, f = id)."""
-    return ProblemSpec(
-        name="convection",
-        domain=UNIT_SQUARE,
-        horizon=0.25,
-        u0=_lifted_cos_product,
-        f=_identity, f_prime=_one,
-        beta=_zero, beta_prime=_zero,
-        g=_zero,
-        velocity=stream_velocity(1.0),
-        lipschitz_f=1.0, lipschitz_beta=0.0, lipschitz_g=0.0,
-        f_is_linear=True, beta_is_linear=True,
-    )
-
-
-def diffusion_preset() -> ProblemSpec:
-    """Pure diffusion from the product-cosine datum (energy identity is exact)."""
-    return ProblemSpec(
-        name="diffusion",
-        domain=UNIT_SQUARE,
-        horizon=0.1,
-        u0=_cos_product,
-        f=_identity, f_prime=_one,
-        beta=_zero, beta_prime=_zero,
-        g=_zero,
-        velocity=None,
-        lipschitz_f=1.0, lipschitz_beta=0.0, lipschitz_g=0.0,
-        f_is_linear=True, beta_is_linear=True,
-        exact_solution=closed_form_heat_reference,
-    )
-
-
 def _lifted_first_mode(x):
     return 1.0 + 0.5 * np.cos(np.pi * np.asarray(x, dtype=float)[..., 0])
-
-
-def lowmode_preset() -> ProblemSpec:
-    """Like the stochastic preset but with only the first Neumann mode,
-    u0 = 1 + 0.5 cos(pi x1).
-
-    The slow decay rate pi^2 of that mode keeps squared time increments of
-    the discrete gradient noise-dominated (hence linear in |t - s|) at step
-    sizes a fine trajectory can actually reach; the product-cosine mode of
-    the default preset decays at 2 pi^2 and its transient drift would pollute
-    the increments quadratically."""
-    return ProblemSpec(
-        name="lowmode",
-        domain=UNIT_SQUARE,
-        horizon=0.25,
-        u0=_lifted_first_mode,
-        f=_identity, f_prime=_one,
-        beta=_beta_linear, beta_prime=_beta_linear_prime,
-        g=_g_multiplicative,
-        velocity=stream_velocity(1.0),
-        lipschitz_f=1.0, lipschitz_beta=0.2, lipschitz_g=0.5,
-        f_is_linear=True, beta_is_linear=True,
-    )
 
 
 def _f_tanh(u):
@@ -221,30 +145,34 @@ def _g_sin(u):
     return 0.5 * np.sin(np.asarray(u, dtype=float))
 
 
-def nonlinear_preset() -> ProblemSpec:
-    """Genuinely nonlinear f and beta; exercises the full Newton path."""
-    return ProblemSpec(
-        name="nonlinear",
-        domain=UNIT_SQUARE,
-        horizon=0.25,
-        u0=_lifted_cos_product,
-        f=_f_tanh, f_prime=_f_tanh_prime,
-        beta=_beta_sin, beta_prime=_beta_sin_prime,
-        g=_g_sin,
-        velocity=stream_velocity(1.0),
-        lipschitz_f=1.0, lipschitz_beta=0.3, lipschitz_g=0.5,
-    )
-
-
 PRESETS: dict[str, Callable[[], ProblemSpec]] = {
     "heat2d": lambda: heat_preset(2),
     "heat3d": lambda: heat_preset(3),
     "stochastic": stochastic_preset,
-    "additive": additive_preset,
-    "convection": convection_preset,
-    "lowmode": lowmode_preset,
-    "diffusion": diffusion_preset,
-    "nonlinear": nonlinear_preset,
+    # g identically 0.5, beta = 0: the mass of u_h is an exact martingale
+    "additive": lambda: replace(
+        stochastic_preset(), name="additive", beta=_zero, beta_prime=_zero,
+        g=_g_const_half, lipschitz_beta=0.0),
+    # deterministic upwind convection-diffusion (g = 0, beta = 0, f = id)
+    "convection": lambda: replace(
+        stochastic_preset(), name="convection", beta=_zero, beta_prime=_zero,
+        g=_zero, lipschitz_beta=0.0),
+    # Only the first Neumann mode, u0 = 1 + 0.5 cos(pi x1).  Its slow decay
+    # rate pi^2 keeps squared time increments of the discrete gradient
+    # noise-dominated (hence linear in |t - s|) at step sizes a fine
+    # trajectory can actually reach; the product-cosine mode of the default
+    # preset decays at 2 pi^2 and its transient drift would pollute the
+    # increments quadratically.
+    "lowmode": lambda: replace(stochastic_preset(), name="lowmode",
+                               u0=_lifted_first_mode),
+    # pure diffusion from the product-cosine datum (energy identity is exact)
+    "diffusion": lambda: replace(heat_preset(2), name="diffusion"),
+    # genuinely nonlinear f and beta; exercises the full Newton path
+    "nonlinear": lambda: replace(
+        stochastic_preset(), name="nonlinear", f=_f_tanh,
+        f_prime=_f_tanh_prime, beta=_beta_sin, beta_prime=_beta_sin_prime,
+        g=_g_sin, lipschitz_beta=0.3, f_is_linear=False,
+        beta_is_linear=False),
 }
 
 

@@ -29,6 +29,7 @@ from .stats import fit_rate
 
 __all__ = [
     "SmoothFunctionSpec",
+    "cosine_mode_spec",
     "elliptic_projection",
     "centered_projection",
     "ProjectionErrorReport",
@@ -50,8 +51,6 @@ class SmoothFunctionSpec:
     fn: Callable[[np.ndarray], np.ndarray]
     laplacian: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    neumann_compatible: bool = True
 
     def __post_init__(self):
         rng = np.random.default_rng(7)
@@ -73,17 +72,28 @@ class SmoothFunctionSpec:
             raise ValueError("supplied Laplacian disagrees with finite differences")
 
 
+def cosine_mode_spec() -> SmoothFunctionSpec:
+    """w = cos(pi x) cos(2 pi y) on the unit square, a Neumann eigenfunction
+    with Laplacian -5 pi^2 w: the projection study's test function."""
+    return SmoothFunctionSpec(
+        fn=lambda x: np.cos(np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1]),
+        laplacian=lambda x: -5.0 * np.pi**2 * np.cos(np.pi * x[:, 0])
+        * np.cos(2 * np.pi * x[:, 1]),
+        domain=((0.0, 1.0), (0.0, 1.0)),
+    )
+
+
 def centered_projection(fn: Callable[[np.ndarray], np.ndarray],
                         mesh: TensorMesh) -> CellField:
     """Point evaluation at the cell centers, w^_K = w(x_K)."""
     return CellField(mesh, np.asarray(fn(mesh.centers), dtype=float))
 
 
-def elliptic_projection(spec: SmoothFunctionSpec, mesh: TensorMesh,
-                        residual_tol: float = RESIDUAL_TOL) -> CellField:
+def elliptic_projection(spec: SmoothFunctionSpec,
+                        mesh: TensorMesh) -> CellField:
     """Cell field satisfying the mean and per-cell flux-balance equations.
 
-    Raises SolverError when the flux balance cannot be met to residual_tol;
+    Raises SolverError when the flux balance cannot be met to RESIDUAL_TOL;
     warns (CompatibilityWarning) when int_Lambda Lap(w) fails to vanish
     beyond quadrature accuracy, which signals non-Neumann data.
     """
@@ -104,8 +114,8 @@ def elliptic_projection(spec: SmoothFunctionSpec, mesh: TensorMesh,
     x += (target_mass - float(np.dot(mesh.measures, x))) / mesh.domain_measure
     field = CellField(mesh, x)
     res = elliptic_residual(spec, field)
-    if res > residual_tol:
-        raise SolverError(f"projection residual {res:.3e} exceeds {residual_tol}")
+    if res > RESIDUAL_TOL:
+        raise SolverError(f"projection residual {res:.3e} exceeds {RESIDUAL_TOL}")
     return field
 
 

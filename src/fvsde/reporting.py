@@ -12,7 +12,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .study import PropertyReport, RateReport
+from .properties import PropertyReport
+from .study import RateReport
 
 __all__ = ["fmt", "rate_report_csv", "rate_report_summary", "svg_loglog",
            "RunManifest", "write_text", "write_manifest"]
@@ -62,9 +63,10 @@ def property_report_text(report: PropertyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def svg_loglog(report: RateReport, title: str, width: int = 480,
-               height: int = 360) -> str:
-    """Minimal log-log line-and-points plot of error vs scale, with the fit."""
+def svg_loglog(report: RateReport, title: str) -> str:
+    """Minimal log-log line-and-points plot of error vs scale, with the fit,
+    on a 480 x 360 canvas."""
+    width, height = 480, 360
     xs = [row.h if report.scale_name == "h" else row.tau for row in report.rows]
     if report.scale_name == "dt":
         ys = [row.err_mean_sq for row in report.rows]

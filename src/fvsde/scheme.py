@@ -62,13 +62,12 @@ _MONOTONE_SAMPLES = np.linspace(-5.0, 5.0, 201)
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Data tuple (u0, f, beta, g, v, T) plus derivative-bound metadata.
+    """Data tuple (u0, f, beta, g, v, T) plus the Lipschitz bound of beta.
 
     All scalar coefficient functions are vectorized over numpy arrays.
     `velocity(t, x)` maps an (n, d) point array to an (n, d) velocity array;
-    it is assumed divergence-free with zero normal trace on the boundary
-    (the flags record this and diagnostics rely on it).  The Lipschitz
-    bounds are metadata for diagnostics, not used by the solver itself.
+    it is assumed divergence-free with zero normal trace on the boundary.
+    `lipschitz_beta` is checked against tau for the StabilityWarning.
     """
 
     name: str
@@ -81,14 +80,10 @@ class ProblemSpec:
     beta_prime: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[float, np.ndarray], np.ndarray] | None = None
-    lipschitz_f: float = 1.0
     lipschitz_beta: float = 0.0
-    lipschitz_g: float = 0.0
     f_is_linear: bool = False
     beta_is_linear: bool = False
     velocity_time_independent: bool = True
-    velocity_divergence_free: bool = True
-    velocity_tangential: bool = True
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -134,7 +129,6 @@ class Trajectory:
     newton_iterations: list[int]
     residual_norms: list[float]
     increments: np.ndarray              # the driving dW_n actually used
-    problem_name: str = ""
 
     def field(self, n: int) -> CellField:
         return CellField(self.mesh, self.states[n])
@@ -352,8 +346,7 @@ def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
             for n in range(1, grid.n_steps + 1))
     states, iterations, residuals = _integrate(workspaces, u0, increments,
                                                params)
-    return Trajectory(mesh, grid, states, iterations, residuals, increments,
-                      problem_name=problem.name)
+    return Trajectory(mesh, grid, states, iterations, residuals, increments)
 
 
 def build_workspace(problem: ProblemSpec, mesh: TensorMesh, tau: float,

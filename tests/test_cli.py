@@ -80,7 +80,7 @@ def test_properties_subcommand_passes(tmp_path, capsys):
 
 def test_failing_property_suite_exits_1(tmp_path, monkeypatch):
     from fvsde import cli
-    from fvsde.study import PropertyCheck, PropertyReport
+    from fvsde.properties import PropertyCheck, PropertyReport
 
     def fake(config):
         return PropertyReport([PropertyCheck("dibp_identity", False, "boom")])
@@ -169,12 +169,34 @@ def test_projections_subcommand(tmp_path):
     ["temporal", "--mesh", "4x4x4"],
     ["projections", "--mesh", "1x1"],
     ["temporal", "--ref-steps", "16777216"],
+    ["mesh-info", "--mesh", "0x4"],
 ])
 def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_bad_paths_exit_2_in_one_line_before_any_work(tmp_path, capsys,
+                                                      monkeypatch):
+    from fvsde import cli
+
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"seed = 7  # caf\xe9\n")
+    started = []
+    monkeypatch.setattr(cli, "run_spatial_rate_study", started.append)
+    for argv in (["spatial", "--levels", "2", "--out", str(blocker)],
+                 ["spatial", "--out", str(blocker / "sub")],
+                 ["mesh-info", "--mesh", "4x4", "--out", str(blocker)],
+                 ["spatial", "--config", str(tmp_path)],
+                 ["spatial", "--config", str(latin1)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not started
 
 
 def test_bad_seed_exits_2_without_traceback(tmp_path):

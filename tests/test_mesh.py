@@ -122,6 +122,83 @@ def test_validate_coincident_centers_reports_zero_distance():
     assert any("zero-distance" in v for v in report.violations)
 
 
+def _set(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+# 2x2 unit square: edges 0, 1 join cells (0, 2), (1, 3) across x = 1/2,
+# edges 2, 3 join (0, 1), (2, 3) across y = 1/2; every cell is 1/2 wide
+@pytest.mark.parametrize("field, edit, message", [
+    ("edge_cells", lambda m: _set(m.edge_cells, 1, [1, 1]),
+     "topology: edge 1 references one cell twice"),
+    ("edge_distances", lambda m: _set(m.edge_distances, 2, 0.75),
+     "distance: edge 2 stores d_KL="),
+    ("edge_measures", lambda m: _set(m.edge_measures, 3, 1.0),
+     "closure: divergence-theorem defect in cells [2, 3]"),
+    ("measures", lambda m: _set(m.measures, 0, -0.25),
+     "measure: non-positive cell measure"),
+    ("measures", lambda m: 2.0 * m.measures,
+     "measure: cell measures sum to 2.0, domain is 1.0"),
+    ("cell_upper", lambda m: _set(m.cell_upper, 0, [0.1, 0.5]),
+     "center: a center lies outside its closed cell"),
+], ids=["topology", "distance", "closure", "measure-sign", "measure-sum",
+        "center"])
+def test_validate_reports_each_violation_kind(field, edit, message):
+    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
+    bad = dataclasses.replace(mesh, **{field: edit(mesh)})
+    violations = validate_admissibility(bad).violations
+    assert any(v.startswith(message) for v in violations), violations
+
+
+def _per_edge_loop(mesh):
+    """The per-edge checks written as a loop over edges: the reference for
+    the array expressions in validate_admissibility."""
+    out = []
+    for j, (k, l) in enumerate(mesh.edge_cells):
+        t = mesh.centers[l] - mesh.centers[k]
+        norm_t = np.linalg.norm(t)
+        if k == l:
+            out.append(("topology", j))
+        elif norm_t <= 1e-14 * mesh.size_h:
+            out.append(("zero-distance", j))
+        else:
+            if abs(mesh.edge_distances[j] - norm_t) > 1e-10 * norm_t:
+                out.append(("distance", j))
+            n = mesh.edge_normals[j]
+            if np.linalg.norm(t - np.dot(t, n) * n) > 1e-10 * norm_t:
+                out.append(("orthogonality", j))
+    return sorted(out)
+
+
+def test_edge_checks_match_the_per_edge_loop():
+    rng = np.random.default_rng(5)
+    for domain, counts in ((UNIT_SQUARE, (3, 4)), (UNIT_CUBE, (2, 3, 2))):
+        mesh = build_tensor_mesh(domain, counts)
+        n_edges = mesh.n_interior_edges
+        for _ in range(20):
+            moved = rng.random((mesh.n_cells, 1)) < 0.3
+            centers = mesh.centers + 0.05 * moved * rng.standard_normal(
+                mesh.centers.shape)
+            centers[rng.integers(mesh.n_cells)] = centers[rng.integers(
+                mesh.n_cells)]
+            loop = rng.integers(n_edges)
+            edge_cells = _set(mesh.edge_cells, (loop, 1),
+                              mesh.edge_cells[loop, 0])
+            distances = mesh.edge_distances * np.where(
+                rng.random(n_edges) < 0.2, 1.3, 1.0)
+            bad = dataclasses.replace(mesh, centers=centers,
+                                      edge_cells=edge_cells,
+                                      edge_distances=distances)
+            found = sorted(
+                (v.split(":")[0], int(v.split()[2]))
+                for v in validate_admissibility(bad).violations
+                if v.split(":")[0] in ("topology", "zero-distance",
+                                       "distance", "orthogonality"))
+            assert found == _per_edge_loop(bad)
+
+
 def test_geometric_closure():
     for mesh in (build_tensor_mesh(UNIT_SQUARE, (3, 4)),
                  build_tensor_mesh(UNIT_CUBE, (2, 3, 2))):

@@ -98,8 +98,7 @@ def test_affine_function_projects_to_its_mean():
 def test_incompatible_data_warns():
     spec = SmoothFunctionSpec(fn=lambda x: x[:, 0] ** 2,
                               laplacian=lambda x: np.full(x.shape[0], 2.0),
-                              domain=UNIT_SQUARE,
-                              neumann_compatible=False)
+                              domain=UNIT_SQUARE)
     mesh = build_tensor_mesh(UNIT_SQUARE, (4, 4))
     with pytest.warns(CompatibilityWarning):
         elliptic_projection(spec, mesh)

@@ -41,7 +41,7 @@ def _custom(name, u0_const, beta=None, beta_prime=None, g=None, horizon=0.2,
         beta=beta or _zero, beta_prime=beta_prime or _zero,
         g=g or _zero,
         velocity=None,
-        lipschitz_f=1.0, lipschitz_beta=lipschitz_beta, lipschitz_g=0.0,
+        lipschitz_beta=lipschitz_beta,
         f_is_linear=True, beta_is_linear=True,
         **kw)
 
@@ -378,7 +378,7 @@ def test_newton_advance_matches_run_path_step():
 # -- time-dependent velocity --------------------------------------------------
 
 def _growing_stream(t, x):
-    return (1.0 + t) * stream_velocity(1.0)(t, x)
+    return (1.0 + t) * stream_velocity(t, x)
 
 
 def _time_dependent_run(velocity, time_independent):
@@ -391,8 +391,8 @@ def _time_dependent_run(velocity, time_independent):
 
 
 def test_constant_velocity_flagged_time_dependent_matches_frozen():
-    _, frozen = _time_dependent_run(stream_velocity(1.0), True)
-    _, stepped = _time_dependent_run(stream_velocity(1.0), False)
+    _, frozen = _time_dependent_run(stream_velocity, True)
+    _, stepped = _time_dependent_run(stream_velocity, False)
     assert np.array_equal(stepped.states, frozen.states)
     assert stepped.newton_iterations == frozen.newton_iterations
 

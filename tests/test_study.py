@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from fvsde.errors import ConfigError
 from fvsde.presets import closed_form_heat_reference, get_preset
+from fvsde.properties import run_property_suite
 from fvsde.stats import fit_rate, mc_mean_ci
 from fvsde.study import (default_config, run_coupled_rate_study,
-                         run_hoelder_diagnostic, run_property_suite,
-                         run_spatial_rate_study, run_temporal_rate_study)
+                         run_hoelder_diagnostic, run_spatial_rate_study,
+                         run_temporal_rate_study)
 
 
 # -- fit_rate -----------------------------------------------------------------
