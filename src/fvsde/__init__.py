@@ -23,7 +23,5 @@ from .projections import (SmoothFunctionSpec, centered_projection,
                           elliptic_projection, projection_error_report)
 from .presets import PRESETS, closed_form_heat_reference, get_preset
 from .stats import fit_rate, mc_mean_ci
-from .study import (HoelderReport, RateReport, StudyConfig, default_config,
-                    run_coupled_rate_study, run_hoelder_diagnostic,
-                    run_spatial_rate_study, run_temporal_rate_study)
+from .study import RateReport, StudyConfig, default_config, run_rate_study
 from .properties import PropertyReport, run_property_suite

@@ -23,9 +23,7 @@ from .properties import run_property_suite
 from .reporting import (RunManifest, fmt, property_report_text,
                         rate_report_csv, rate_report_summary, svg_loglog,
                         write_json, write_manifest, write_text)
-from .study import (STUDIES, StudyConfig, default_config,
-                    run_coupled_rate_study, run_hoelder_diagnostic,
-                    run_spatial_rate_study, run_temporal_rate_study)
+from .study import STUDIES, StudyConfig, default_config, run_rate_study
 
 ENV_PREFIX = "FVSDE_"
 
@@ -119,13 +117,18 @@ def parse_config(study: str, config_path: str | None = None,
     if selected != study:
         raise ConfigError(f"config selects study {selected!r} but the "
                           f"subcommand is {study!r}")
-    out_dir = merged.pop("out", None)
-    cfg = default_config(study, out_dir=out_dir, **merged)
-    return cfg.validate()
+    return default_config(study, out_dir=merged.pop("out", None), **merged)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors: one stderr line, exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fvsde",
         description="Finite-volume solver for stochastic convection-diffusion "
                     "with Monte Carlo convergence-rate studies.")
@@ -210,21 +213,12 @@ def _run_study_command(args: argparse.Namespace) -> int:
         write_text(path, text)
         outputs.append(path)
         status = 0 if report.all_passed else 1
-    elif config.study in ("spatial", "temporal", "coupled"):
-        # looked up at call time, so that a replaced module global is used
-        report = globals()[f"run_{config.study}_rate_study"](config)
-        outputs += _emit_rate_outputs(report, out_dir, config.study)
-        _print_report(report)
-    elif config.study == "hoelder":
-        pair = run_hoelder_diagnostic(config)
-        outputs += _emit_rate_outputs(pair.value, out_dir, "hoelder_l2")
-        outputs += _emit_rate_outputs(pair.gradient, out_dir, "hoelder_h1")
-        _print_report(pair.value)
-        _print_report(pair.gradient)
     elif config.study == "projections":
         outputs += _run_projections(config, out_dir)
-    else:  # pragma: no cover
-        raise ConfigError(f"unhandled study {config.study!r}")
+    else:
+        for report in run_rate_study(config):
+            outputs += _emit_rate_outputs(report, out_dir, report.study)
+            _print_report(report)
 
     manifest = RunManifest(
         config={k: list(v) if isinstance(v, tuple) else v
@@ -289,13 +283,11 @@ def _run_mesh_info(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors, matching the config-error code
-        return int(exc.code or 0)
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:       # --help and --version
+            return int(exc.code or 0)
         if args.command == "mesh-info":
             return _run_mesh_info(args)
         return _run_study_command(args)

@@ -117,8 +117,10 @@ def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
         if idx.size == 0:
             continue
         tang = [b for b in range(d) if b != a]
-        lo = mesh.edge_lower[idx]
-        ext = mesh.edge_upper[idx] - mesh.edge_lower[idx]
+        # a face spans its L cell's box on every tangential axis
+        cells = mesh.edge_cells[idx, 1]
+        lo = mesh.cell_lower[cells]
+        ext = mesh.cell_upper[cells] - lo
         acc = np.zeros(idx.size)
         for combo in np.ndindex(*([QUADRATURE_ORDER] * len(tang))):
             pts = np.empty((idx.size, d))

@@ -32,6 +32,3 @@ class CellField:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]

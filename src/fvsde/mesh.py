@@ -64,8 +64,6 @@ class TensorMesh:
     edge_distances: np.ndarray             # (n_edges,)  d_KL
     edge_axis: np.ndarray                  # (n_edges,) int
     edge_planes: np.ndarray                # (n_edges,) interface coordinate
-    edge_lower: np.ndarray                 # (n_edges, d) face box, zero extent on axis
-    edge_upper: np.ndarray                 # (n_edges, d)
     bedge_cells: np.ndarray                # (n_bedges,) int
     bedge_measures: np.ndarray
     bedge_normals: np.ndarray              # (n_bedges, d), outward
@@ -238,7 +236,6 @@ def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
 
     # interior faces, grouped by normal axis
     e_cells, e_meas, e_dist, e_axis, e_plane = [], [], [], [], []
-    e_low, e_up = [], []
     for a in range(d):
         if counts[a] < 2:
             continue
@@ -256,17 +253,11 @@ def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
         dist = np.broadcast_to(dist_1d[tuple(view)], shape).ravel().copy()
         plane_1d = nodes[a][1:-1]
         plane = np.broadcast_to(plane_1d[tuple(view)], shape).ravel().copy()
-        low = cell_lower[L].copy()
-        up = cell_upper[L].copy()
-        low[:, a] = plane
-        up[:, a] = plane
         e_cells.append(np.stack([K, L], axis=1))
         e_meas.append(meas)
         e_dist.append(dist)
         e_axis.append(np.full(K.shape[0], a, dtype=np.int64))
         e_plane.append(plane)
-        e_low.append(low)
-        e_up.append(up)
 
     if e_cells:
         edge_cells = np.concatenate(e_cells, axis=0)
@@ -274,16 +265,12 @@ def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
         edge_distances = np.concatenate(e_dist)
         edge_axis = np.concatenate(e_axis)
         edge_planes = np.concatenate(e_plane)
-        edge_lower = np.concatenate(e_low, axis=0)
-        edge_upper = np.concatenate(e_up, axis=0)
     else:
         edge_cells = np.zeros((0, 2), dtype=np.int64)
         edge_measures = np.zeros(0)
         edge_distances = np.zeros(0)
         edge_axis = np.zeros(0, dtype=np.int64)
         edge_planes = np.zeros(0)
-        edge_lower = np.zeros((0, d))
-        edge_upper = np.zeros((0, d))
 
     # boundary faces
     b_cells, b_meas, b_norm, b_axis = [], [], [], []
@@ -315,8 +302,6 @@ def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
         edge_distances=edge_distances,
         edge_axis=edge_axis,
         edge_planes=edge_planes,
-        edge_lower=edge_lower,
-        edge_upper=edge_upper,
         bedge_cells=np.concatenate(b_cells),
         bedge_measures=np.concatenate(b_meas),
         bedge_normals=np.concatenate(b_norm, axis=0),
@@ -407,7 +392,7 @@ def validate_admissibility(mesh: TensorMesh) -> AdmissibilityReport:
           for j in np.flatnonzero(looped)]
     v += [f"zero-distance: edge {j} joins coincident centers"
           for j in np.flatnonzero(coincident)]
-    v += [f"distance: edge {j} stores d_KL={mesh.edge_distances[j]!r} "
+    v += [f"distance: edge {j} stores d_KL={float(mesh.edge_distances[j])!r} "
           f"but |x_K - x_L|={float(norm_t[j])!r}" for j in np.flatnonzero(far)]
     v += [f"orthogonality: edge {j} center segment is not normal to the face"
           for j in np.flatnonzero(skew)]

@@ -116,9 +116,12 @@ def svg_loglog(report: RateReport, title: str) -> str:
 
 
 def write_text(path: str, content: str) -> None:
+    """Atomic write (temp file + rename), so no artifact is left half-written."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as handle:
         handle.write(content)
+    os.replace(tmp, path)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -139,10 +142,4 @@ class RunManifest:
 
 
 def write_manifest(path: str, manifest: RunManifest) -> None:
-    """Atomic write (temp file + rename) of the manifest."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    payload = json.dumps(manifest.__dict__, indent=2, sort_keys=True) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(payload)
-    os.replace(tmp, path)
+    write_json(path, manifest.__dict__)

@@ -96,10 +96,6 @@ class ProblemSpec:
         if np.any(np.diff(fs) < -1e-12):
             raise ValueError(f"{self.name}: f is not non-decreasing on samples")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.domain)
-
 
 @dataclass(frozen=True)
 class StepperParams:
@@ -162,7 +158,6 @@ class StepWorkspace:
         self.tpfa = tpfa if tpfa is not None else TpfaOperator(mesh)
         self.m = mesh.measures
         self.stiffness = self.tpfa.stiffness
-        self.edge_vel = edge_vel
         n = mesh.n_cells
         self.conv = None
         if edge_vel is not None and np.any(edge_vel.values != 0.0):

@@ -33,16 +33,9 @@ __all__ = [
     "StudyConfig",
     "RateRow",
     "RateReport",
-    "HoelderReport",
     "default_config",
-    "run_spatial_rate_study",
-    "run_temporal_rate_study",
-    "run_coupled_rate_study",
-    "run_hoelder_diagnostic",
+    "run_rate_study",
 ]
-
-STUDIES = ("properties", "spatial", "temporal", "coupled", "hoelder",
-           "projections")
 
 _DEFAULTS: dict[str, dict] = {
     "properties":  {"preset": "stochastic", "mesh": (8, 8), "levels": 3,
@@ -60,20 +53,23 @@ _DEFAULTS: dict[str, dict] = {
                     "steps": (), "ref_steps": 1, "paths": 2},
 }
 
+STUDIES = tuple(_DEFAULTS)
+
 HOELDER_SEPARATIONS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything needed to reproduce a study run."""
+    """Everything needed to reproduce a study run; build it with
+    :func:`default_config`."""
 
-    study: str = "properties"
-    preset: str = "stochastic"
-    mesh: tuple[int, ...] = (8, 8)
-    levels: int = 3
-    steps: tuple[int, ...] = (8,)
-    ref_steps: int = 64
-    paths: int = 4
+    study: str
+    preset: str
+    mesh: tuple[int, ...]
+    levels: int
+    steps: tuple[int, ...]
+    ref_steps: int
+    paths: int
     seed: int = 12345
     workers: int = 1
     out_dir: str | None = None
@@ -159,12 +155,6 @@ class RateReport:
     @property
     def errors(self) -> list[float]:
         return [math.sqrt(r.err_mean_sq) for r in self.rows]
-
-
-@dataclass
-class HoelderReport:
-    value: RateReport
-    gradient: RateReport
 
 
 def _report(study: str, rows: list[RateRow], scale_name: str,
@@ -376,20 +366,14 @@ def _map_paths(config: StudyConfig) -> list:
 # Studies
 # ---------------------------------------------------------------------------
 
-def run_spatial_rate_study(config: StudyConfig) -> RateReport:
+def _spatial_rows(problem, levels) -> list[RateRow]:
     """Deterministic mesh-refinement sweep against the closed-form solution.
 
     Time steps scale like h^2 so the implicit Euler error stays subdominant;
     the error column is the discrete L2 distance between the final state and
     the cell averages of the exact solution.
     """
-    config.validate()
-    problem = get_preset(config.preset)
-    if problem.exact_solution is None:
-        raise ConfigError(f"preset {config.preset!r} has no closed-form "
-                          "solution; the spatial study needs one")
     params = StepperParams()
-    levels, _ = _levels(config, problem)
     rows = []
     for level, (mesh, n_steps) in enumerate(levels):
         tau = TimeGrid(n_steps, problem.horizon).tau
@@ -401,77 +385,61 @@ def run_spatial_rate_study(config: StudyConfig) -> RateReport:
         diff = states[-1] - exact
         err_sq = float(np.dot(mesh.measures, diff * diff))
         rows.append(RateRow(level, mesh.size_h, tau, 1, err_sq, 0.0))
-    md = _base_metadata(config, problem, {
-        "mesh_regularity": [m.regularity for m, _ in levels],
-        "tau_rule": "0.5*h_axis^2"})
-    return _report("spatial", rows, "h", md)
+    return rows
 
 
-def run_temporal_rate_study(config: StudyConfig) -> RateReport:
-    """Strong time-refinement study, coupled to a fine reference on one mesh.
+def run_rate_study(config: StudyConfig) -> list[RateReport]:
+    """The study's rate reports: one for spatial, temporal and coupled, and
+    for hoelder the L2 then the H1-seminorm report.
 
-    Errors are RMS over paths of the final-time discrete L2 distance between
-    each coarse run and the reference run driven by the same Brownian path.
-    """
-    config.validate()
-    problem = get_preset(config.preset)
-    samples = np.asarray(_map_paths(config))   # (paths, levels)
-    levels, (mesh, _) = _levels(config, problem)
-    md = _base_metadata(config, problem, {
-        "mesh_regularity": mesh.regularity,
-        "ref_steps": config.ref_steps,
-    })
-    return _mc_report("temporal", config, samples.T,
-                      [(m.size_h, problem.horizon / n) for m, n in levels],
-                      "tau", md)
-
-
-def run_coupled_rate_study(config: StudyConfig) -> RateReport:
-    """Simultaneous tau, h refinement against the finest coupled level.
-
-    Per level, the Monte Carlo mean of the squared discrete L2 distance is
-    taken at every shared time node (coarse states lifted through the
+    temporal: RMS over paths of the final-time discrete L2 distance between
+    each coarse run and the reference run driven by the same Brownian path,
+    on one mesh.  coupled: simultaneous tau, h refinement against the finest
+    level; per level, the Monte Carlo mean of the squared discrete L2
+    distance at every shared time node (coarse states lifted through the
     parent-cell map, right-interpolant node convention unless configured
-    otherwise); the level error is the sup over nodes.
+    otherwise), and the level error is the sup over nodes.  hoelder: mean
+    squared increments of the reference run against the separation |t - s|,
+    dyadic multiples of the step with anchors over the whole trajectory;
+    the expected slope is about 1 in both norms.
     """
     config.validate()
+    study = config.study
+    if study != "spatial" and study not in _COMPARATORS:
+        raise ConfigError(f"{study!r} is not a rate study")
     problem = get_preset(config.preset)
-    results = _map_paths(config)   # [path][level] -> per-node array
-    levels, _ = _levels(config, problem)
+    if study == "spatial" and problem.exact_solution is None:
+        raise ConfigError(f"preset {config.preset!r} has no closed-form "
+                          "solution; the spatial study needs one")
+    levels, ref = _levels(config, problem)
+    if study in ("spatial", "coupled"):
+        extra = {"mesh_regularity": [m.regularity for m, _ in levels]}
+    else:
+        extra = {"mesh_regularity": ref[0].regularity}
+    if study == "spatial":
+        md = _base_metadata(config, problem,
+                            {**extra, "tau_rule": "0.5*h_axis^2"})
+        return [_report(study, _spatial_rows(problem, levels), "h", md)]
+    results = _map_paths(config)
+    if study == "hoelder":
+        md = _base_metadata(config, problem, {
+            **extra, "fine_steps": config.ref_steps,
+            "separations": list(HOELDER_SEPARATIONS)})
+        tau = problem.horizon / config.ref_steps
+        h_dt = [(ref[0].size_h, sep * tau) for sep in HOELDER_SEPARATIONS]
+        return [_mc_report(f"hoelder_{norm}", config,
+                           np.stack([r[i] for r in results]).T, h_dt, "dt", md)
+                for i, norm in enumerate(("l2", "h1"))]
+    extra["ref_steps"] = config.ref_steps
+    h_tau = [(m.size_h, problem.horizon / n) for m, n in levels]
+    if study == "temporal":
+        md = _base_metadata(config, problem, extra)
+        return [_mc_report(study, config, np.asarray(results).T, h_tau,
+                           "tau", md)]
     columns = []
     for level in range(len(levels)):
         stacked = np.stack([results[p][level] for p in range(config.paths)])
         columns.append(stacked[:, int(np.argmax(stacked.mean(axis=0)))])
-    md = _base_metadata(config, problem, {
-        "mesh_regularity": [m.regularity for m, _ in levels],
-        "ref_steps": config.ref_steps,
-        "interpolant": "left" if config.left_interpolant else "right",
-    })
-    return _mc_report("coupled", config, columns,
-                      [(m.size_h, problem.horizon / n) for m, n in levels],
-                      "h", md)
-
-
-def run_hoelder_diagnostic(config: StudyConfig) -> HoelderReport:
-    """Mean squared time increments against the separation |t - s|.
-
-    Separations are dyadic multiples of the step; anchors s run over the whole
-    trajectory.  Expected slope about 1 for both the squared L2 increment and
-    the squared discrete H1-seminorm increment.
-    """
-    config.validate()
-    problem = get_preset(config.preset)
-    results = _map_paths(config)
-    _, (mesh, _) = _levels(config, problem)
-    tau = problem.horizon / config.ref_steps
-    md = _base_metadata(config, problem, {
-        "mesh_regularity": mesh.regularity,
-        "fine_steps": config.ref_steps,
-        "separations": list(HOELDER_SEPARATIONS),
-    })
-    h_dt = [(mesh.size_h, sep * tau) for sep in HOELDER_SEPARATIONS]
-    vals = np.stack([r[0] for r in results])     # (paths, separations)
-    grads = np.stack([r[1] for r in results])
-    return HoelderReport(
-        value=_mc_report("hoelder_l2", config, vals.T, h_dt, "dt", md),
-        gradient=_mc_report("hoelder_h1", config, grads.T, h_dt, "dt", md))
+    extra["interpolant"] = "left" if config.left_interpolant else "right"
+    md = _base_metadata(config, problem, extra)
+    return [_mc_report(study, config, columns, h_tau, "h", md)]

@@ -19,9 +19,7 @@ from fvsde.noise import NoisePath, TimeGrid, brownian_values, sample_path
 from fvsde.presets import get_preset
 from fvsde.projections import SmoothFunctionSpec, projection_error_report
 from fvsde.scheme import energy_balance_defects, run_path
-from fvsde.study import (default_config, run_coupled_rate_study,
-                         run_hoelder_diagnostic, run_spatial_rate_study,
-                         run_temporal_rate_study)
+from fvsde.study import default_config, run_rate_study
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 
@@ -35,7 +33,7 @@ def _verdict(num: int, description: str, ok: bool, detail: str) -> None:
 def test_criterion_01_deterministic_spatial_order():
     t0 = time.monotonic()
     cfg = default_config("spatial", mesh=(8, 8), levels=4)   # h = 1/8 .. 1/64
-    report = run_spatial_rate_study(cfg)
+    (report,) = run_rate_study(cfg)
     elapsed = time.monotonic() - t0
     ok = 0.9 <= report.slope <= 2.2 and elapsed <= 120.0
     _verdict(1, "deterministic spatial order on (0,1)^2, h=1/8..1/64",
@@ -47,7 +45,7 @@ def test_criterion_02_strong_temporal_order_half():
     cfg = default_config("temporal")   # 32^2, N in {8..128}, ref 1024, M=64
     assert cfg.mesh == (32, 32) and cfg.steps == (8, 16, 32, 64, 128)
     assert cfg.ref_steps == 1024 and cfg.paths == 64
-    report = run_temporal_rate_study(cfg)
+    (report,) = run_rate_study(cfg)
     elapsed = time.monotonic() - t0
     ok = 0.35 <= report.slope <= 0.75 and elapsed <= 600.0
     _verdict(2, "strong temporal order 1/2, coupled to N_max=1024, M=64",
@@ -59,7 +57,7 @@ def test_criterion_03_coupled_refinement():
     assert cfg.mesh == (8, 8) and cfg.levels == 4
     assert cfg.steps == (8, 16, 32, 64) and cfg.ref_steps == 512
     assert cfg.paths == 64
-    report = run_coupled_rate_study(cfg)
+    (report,) = run_rate_study(cfg)
     ok = 0.35 <= report.slope <= 0.8
     sq = [r.err_mean_sq for r in report.rows]
     ratios = [sq[i] / sq[i + 1] for i in range(len(sq) - 1)]
@@ -163,12 +161,12 @@ def test_criterion_08_discrete_poincare_constant():
 
 
 def test_criterion_09_time_hoelder_diagnostic():
-    pair = run_hoelder_diagnostic(default_config("hoelder"))
-    ok = (0.8 <= pair.value.slope <= 1.2
-          and 0.8 <= pair.gradient.slope <= 1.2)
+    value, gradient = run_rate_study(default_config("hoelder"))
+    ok = (0.8 <= value.slope <= 1.2
+          and 0.8 <= gradient.slope <= 1.2)
     _verdict(9, "time-Hoelder slopes of squared L2 and H1 increments", ok,
-             f"L2 slope {pair.value.slope:.3f}, "
-             f"H1 slope {pair.gradient.slope:.3f}, window [0.8, 1.2]")
+             f"L2 slope {value.slope:.3f}, "
+             f"H1 slope {gradient.slope:.3f}, window [0.8, 1.2]")
 
 
 def test_criterion_10_reproducibility(tmp_path):

@@ -44,6 +44,21 @@ def test_parse_config_env_override(tmp_path, monkeypatch):
     assert cfg.seed == 99
 
 
+def test_parse_config_env_boolean(monkeypatch):
+    monkeypatch.setenv("FVSDE_LEFT_INTERPOLANT", "off")
+    assert parse_config("coupled", None).left_interpolant is False
+    monkeypatch.setenv("FVSDE_LEFT_INTERPOLANT", "maybe")
+    with pytest.raises(ConfigError, match="cannot parse boolean 'maybe'"):
+        parse_config("coupled", None)
+
+
+def test_parse_config_rejects_line_without_equals(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 7\npaths 4\n")
+    with pytest.raises(ConfigError, match=r"run.cfg:2: expected key=value"):
+        parse_config("temporal", str(cfg_file))
+
+
 def test_config_study_mismatch(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("study = temporal\n")
@@ -100,6 +115,14 @@ def test_mesh_info_writes_json(tmp_path):
     assert summary["admissibility_violations"] == []
 
 
+def test_mesh_info_prints_one_line_without_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["mesh-info", "--mesh", "4x3"]) == 0
+    assert capsys.readouterr().out == \
+        "cells=12 interior_edges=17 h=0.41666666666666669 reg=4\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_mesh_info_rejects_bad_spec(capsys):
     assert main(["mesh-info", "--mesh", "4xqq"]) == 2
 
@@ -151,6 +174,25 @@ def test_hoelder_subcommand_emits_both_tables(tmp_path):
     assert (out / "hoelder_h1_rates.csv").exists()
 
 
+@pytest.mark.parametrize("ci, flagged", [(0.05, False), (0.6, True)])
+def test_inconclusive_reaches_summary_and_stdout(ci, flagged, tmp_path,
+                                                 capsys, monkeypatch):
+    from fvsde import cli
+    from fvsde.study import RateReport, RateRow, _inconclusive
+
+    rows = [RateRow(0, 0.5, 0.1, 4, 2.0, 2 * ci),
+            RateRow(1, 0.25, 0.05, 4, 1.0, ci)]
+    report = RateReport("temporal", rows, "tau", 1.0, 0.0, 0.0,
+                        [float("nan"), 1.0], {}, _inconclusive(rows))
+    monkeypatch.setattr(cli, "run_rate_study", lambda config: [report])
+    assert main(["temporal", "--out", str(tmp_path)]) == 0
+    summary = json.loads(_read(tmp_path / "temporal_summary.json"))
+    assert summary["inconclusive"] is flagged
+    flag = "  [inconclusive]" if flagged else ""
+    assert capsys.readouterr().out == \
+        f"temporal: slope 1 vs tau over 2 levels{flag}\n"
+
+
 def test_projections_subcommand(tmp_path):
     out = tmp_path / "p"
     code = main(["projections", "--levels", "3", "--out", str(out)])
@@ -170,6 +212,13 @@ def test_projections_subcommand(tmp_path):
     ["projections", "--mesh", "1x1"],
     ["temporal", "--ref-steps", "16777216"],
     ["mesh-info", "--mesh", "0x4"],
+    ["temporal", "--bogus"],
+    ["temporal", "--seed"],
+    ["frobnicate"],
+    [],
+    ["mesh-info"],
+    ["temporal", "--seed", "abc"],
+    ["temporal", "--steps", "4,x"],
 ])
 def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -187,7 +236,7 @@ def test_bad_paths_exit_2_in_one_line_before_any_work(tmp_path, capsys,
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes(b"seed = 7  # caf\xe9\n")
     started = []
-    monkeypatch.setattr(cli, "run_spatial_rate_study", started.append)
+    monkeypatch.setattr(cli, "run_rate_study", started.append)
     for argv in (["spatial", "--levels", "2", "--out", str(blocker)],
                  ["spatial", "--out", str(blocker / "sub")],
                  ["mesh-info", "--mesh", "4x4", "--out", str(blocker)],

@@ -110,8 +110,9 @@ def _composite_edge_oracle(vfn, mesh, edge, panels=20, order=5):
     gx = (gx + 1.0) / 2.0
     gw = gw / 2.0
     axis = int(mesh.edge_axis[edge])
-    lo = mesh.edge_lower[edge]
-    hi = mesh.edge_upper[edge]
+    # the face spans the box of its L cell on the tangential axis
+    lo = mesh.cell_lower[mesh.edge_cells[edge, 1]]
+    hi = mesh.cell_upper[mesh.edge_cells[edge, 1]]
     tang = [b for b in range(mesh.dimension) if b != axis]
     assert len(tang) == 1
     t_axis = tang[0]

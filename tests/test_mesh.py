@@ -134,7 +134,7 @@ def _set(array, index, value):
     ("edge_cells", lambda m: _set(m.edge_cells, 1, [1, 1]),
      "topology: edge 1 references one cell twice"),
     ("edge_distances", lambda m: _set(m.edge_distances, 2, 0.75),
-     "distance: edge 2 stores d_KL="),
+     "distance: edge 2 stores d_KL=0.75 but |x_K - x_L|=0.5"),
     ("edge_measures", lambda m: _set(m.edge_measures, 3, 1.0),
      "closure: divergence-theorem defect in cells [2, 3]"),
     ("measures", lambda m: _set(m.measures, 0, -0.25),

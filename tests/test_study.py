@@ -9,9 +9,7 @@ from fvsde.errors import ConfigError
 from fvsde.presets import closed_form_heat_reference, get_preset
 from fvsde.properties import run_property_suite
 from fvsde.stats import fit_rate, mc_mean_ci
-from fvsde.study import (default_config, run_coupled_rate_study,
-                         run_hoelder_diagnostic, run_spatial_rate_study,
-                         run_temporal_rate_study)
+from fvsde.study import default_config, run_rate_study
 
 
 # -- fit_rate -----------------------------------------------------------------
@@ -152,13 +150,34 @@ def test_config_validation_errors():
 def test_spatial_study_needs_closed_form():
     cfg = default_config("spatial", preset="stochastic", levels=3)
     with pytest.raises(ConfigError):
-        run_spatial_rate_study(cfg)
+        run_rate_study(cfg)
+
+
+@pytest.mark.parametrize("study", ["properties", "projections"])
+def test_run_rate_study_refuses_non_rate_studies(study):
+    with pytest.raises(ConfigError, match="not a rate study"):
+        run_rate_study(default_config(study))
+
+
+def test_inconclusive_when_ci_swamps_level_gap():
+    from fvsde.study import RateRow, _inconclusive
+
+    # adjacent levels a factor 2 apart: log gap ln 2 ~ 0.69
+    separated = [RateRow(0, 0.5, 0.1, 8, 2.0, 0.1),
+                 RateRow(1, 0.25, 0.05, 8, 1.0, 0.05)]
+    overlapping = [RateRow(0, 0.5, 0.1, 8, 2.0, 1.2),
+                   RateRow(1, 0.25, 0.05, 8, 1.0, 0.6)]
+    assert _inconclusive(separated) is False      # hypot(.05, .05) < ln 2
+    assert _inconclusive(overlapping) is True     # hypot(.6, .6) > ln 2
+    # one overlapping pair anywhere in the chain is enough
+    assert _inconclusive(separated + [RateRow(2, 0.125, 0.025, 8, 0.9,
+                                              0.5)]) is True
 
 
 # -- studies at smoke scale ---------------------------------------------------
 
 def test_spatial_study_smoke():
-    report = run_spatial_rate_study(default_config("spatial", levels=3))
+    (report,) = run_rate_study(default_config("spatial", levels=3))
     assert 0.9 <= report.slope <= 2.2
     errs = report.errors
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -168,7 +187,7 @@ def test_spatial_study_smoke():
 
 def test_spatial_study_3d_smoke():
     cfg = default_config("spatial", preset="heat3d", mesh=(8, 8, 8), levels=3)
-    report = run_spatial_rate_study(cfg)
+    (report,) = run_rate_study(cfg)
     assert 0.9 <= report.slope <= 2.2
     errs = report.errors
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -186,22 +205,22 @@ def test_temporal_engine_zero_error_against_itself():
         assert errors[1] > 0.0
     # and the full study refuses the degenerate chain with a clear error
     with pytest.raises(ConfigError):
-        run_temporal_rate_study(cfg)
+        run_rate_study(cfg)
 
 
 def test_temporal_study_deterministic_degenerate_first_order():
     # g = 0 run: plain implicit Euler, slope near 1
     cfg = default_config("temporal", preset="convection", mesh=(16, 16),
                          steps=(8, 16, 32, 64), ref_steps=256, paths=2)
-    report = run_temporal_rate_study(cfg)
+    (report,) = run_rate_study(cfg)
     assert 0.85 <= report.slope <= 1.3
 
 
 def test_temporal_ci_shrinks_with_more_paths():
     base = default_config("temporal", mesh=(8, 8), steps=(8, 16),
                           ref_steps=128, paths=32)
-    wide = run_temporal_rate_study(base)
-    narrow = run_temporal_rate_study(dataclasses.replace(base, paths=128))
+    (wide,) = run_rate_study(base)
+    (narrow,) = run_rate_study(dataclasses.replace(base, paths=128))
     for row_w, row_n in zip(wide.rows, narrow.rows):
         ratio = row_w.ci_half_width / row_n.ci_half_width
         assert 1.4 <= ratio <= 2.6      # 2x expected from 4x the paths
@@ -210,8 +229,8 @@ def test_temporal_ci_shrinks_with_more_paths():
 def test_temporal_worker_count_invariance():
     cfg = default_config("temporal", mesh=(8, 8), steps=(4, 8), ref_steps=64,
                          paths=6)
-    serial = run_temporal_rate_study(cfg)
-    parallel = run_temporal_rate_study(dataclasses.replace(cfg, workers=3))
+    (serial,) = run_rate_study(cfg)
+    (parallel,) = run_rate_study(dataclasses.replace(cfg, workers=3))
     assert serial.rows == parallel.rows
     assert serial.slope == parallel.slope
 
@@ -219,11 +238,11 @@ def test_temporal_worker_count_invariance():
 def test_coupled_study_smoke():
     cfg = default_config("coupled", mesh=(4, 4), levels=2, steps=(4, 8),
                          ref_steps=64, paths=8)
-    report = run_coupled_rate_study(cfg)
+    (report,) = run_rate_study(cfg)
     errs = report.errors
     assert errs[0] > errs[1] > 0.0
     assert report.metadata["interpolant"] == "right"
-    left = run_coupled_rate_study(
+    (left,) = run_rate_study(
         dataclasses.replace(cfg, left_interpolant=True))
     assert left.metadata["interpolant"] == "left"
     assert left.rows != report.rows
@@ -231,10 +250,10 @@ def test_coupled_study_smoke():
 
 def test_hoelder_smoke_slopes():
     cfg = default_config("hoelder", mesh=(8, 8), ref_steps=512, paths=16)
-    pair = run_hoelder_diagnostic(cfg)
-    assert 0.7 <= pair.value.slope <= 1.3
-    assert 0.7 <= pair.gradient.slope <= 1.3
-    assert pair.value.rows[0].tau == pytest.approx(
+    value, gradient = run_rate_study(cfg)
+    assert 0.7 <= value.slope <= 1.3
+    assert 0.7 <= gradient.slope <= 1.3
+    assert value.rows[0].tau == pytest.approx(
         get_preset("lowmode").horizon / 512)
 
 
