@@ -17,7 +17,7 @@ from .discrete_ops import (EdgeVelocity, TpfaOperator, dibp_gap,
                            edge_velocity, l2_error_vs_function, mass,
                            poincare_constant_estimate, upwind_cells,
                            upwind_trace)
-from .noise import NoisePath, TimeGrid, brownian_values, coarsen, sample_path
+from .noise import NoisePath, TimeGrid, coarsen, sample_path
 from .scheme import ProblemSpec, StepperParams, Trajectory, run_path
 from .projections import (SmoothFunctionSpec, centered_projection,
                           elliptic_projection, projection_error_report)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CouplingError
 
-__all__ = ["TimeGrid", "NoisePath", "sample_path", "coarsen", "brownian_values"]
+__all__ = ["TimeGrid", "NoisePath", "sample_path", "coarsen"]
 
 MAX_FINE_STEPS = 2**23          # n_fine * max|k| < 2^53 for |z| <= 8
 
@@ -104,12 +104,3 @@ def coarsen(path: NoisePath, n_steps: int) -> np.ndarray:
     if ratio == 1:
         return path.increments.copy()
     return path.increments.reshape(n_steps, ratio).sum(axis=1)
-
-
-def brownian_values(path: NoisePath, n_steps: int | None = None) -> np.ndarray:
-    """W at the nodes of the n_steps grid (fine grid when omitted), W(0) = 0."""
-    inc = path.increments if n_steps is None else coarsen(path, n_steps)
-    out = np.empty(len(inc) + 1)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out

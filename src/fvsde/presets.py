@@ -83,7 +83,7 @@ def heat_preset(dimension: int = 2) -> ProblemSpec:
         beta=_zero, beta_prime=_zero,
         g=_zero,
         velocity=None,
-        f_is_linear=True, beta_is_linear=True,
+        affine=True,
         exact_solution=closed_form_heat_reference,
     )
 
@@ -113,7 +113,7 @@ def stochastic_preset() -> ProblemSpec:
         g=_g_multiplicative,
         velocity=stream_velocity,
         lipschitz_beta=0.2,
-        f_is_linear=True, beta_is_linear=True,
+        affine=True,
     )
 
 
@@ -171,8 +171,7 @@ PRESETS: dict[str, Callable[[], ProblemSpec]] = {
     "nonlinear": lambda: replace(
         stochastic_preset(), name="nonlinear", f=_f_tanh,
         f_prime=_f_tanh_prime, beta=_beta_sin, beta_prime=_beta_sin_prime,
-        g=_g_sin, lipschitz_beta=0.3, f_is_linear=False,
-        beta_is_linear=False),
+        g=_g_sin, lipschitz_beta=0.3, affine=False),
 }
 
 

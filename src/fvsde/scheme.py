@@ -11,19 +11,21 @@ dW_n, the new vector u^n solves, for every control volume K,
 with u_sigma the upstream value (u_K when v_{K,sigma} >= 0, else u_L).  The
 noise coefficient is explicit, everything else implicit.
 
-StepWorkspace.advance takes one step of one path.  The Jacobian J always
-has the same sparsity pattern (the diagonal, the two-point flux stiffness
-and the upwind convection entries), built once per workspace; only its
-values depend on the state.  For affine f and beta (the rate-study presets)
-J is constant and factorized once per workspace by SuperLU, and the step
-solves J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly: Newton's first iterate
-from u^{n-1}.  The true residual (with f, beta, g) is then checked, and
-Newton continues on the same factorization while it is above tolerance.
-Other coefficients run Newton with J's values filled into the fixed pattern
-at every iterate and factorized by LAPACK's banded LU with partial pivoting
-(dgbtrf/dgbtrs), whose cost is O(n b^2) for half-bandwidth b.  Every solve
-has one right-hand side: with several, the BLAS kernels behind SuperLU can
-change a column's bits with the number of columns.
+StepWorkspace.advance takes one step of one path.  The Jacobian J is one
+formula: the sum of three summands with fixed entries (the diagonal
+m (1 - tau beta'(u)), the two-point flux stiffness tau A and the upwind
+convection scaled by f'(u) of each entry's column); only their values depend
+on the state.  Which solver runs is decided once per workspace.  For affine
+f and beta (the rate-study presets) J is constant and factorized once by
+SuperLU, and the step solves J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly:
+Newton's first iterate from u^{n-1}.  The true residual (with f, beta, g) is
+then checked, and Newton continues on the same factorization while it is
+above tolerance.  Other coefficients run Newton with the three summands
+added at every iterate straight into band storage and factorized by
+LAPACK's banded LU with partial pivoting (dgbtrf/dgbtrs), whose cost is
+O(n b^2) for half-bandwidth b.  Every solve has one right-hand side: with
+several, the BLAS kernels behind SuperLU can change a column's bits with the
+number of columns.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ __all__ = [
 
 _MONOTONE_SAMPLES = np.linspace(-5.0, 5.0, 201)
 
+# tau * L_beta above this margin triggers a StabilityWarning (solvability of
+# the implicit reaction term).
+STABILITY_MARGIN = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
@@ -68,6 +74,7 @@ class ProblemSpec:
     `velocity(t, x)` maps an (n, d) point array to an (n, d) velocity array;
     it is assumed divergence-free with zero normal trace on the boundary.
     `lipschitz_beta` is checked against tau for the StabilityWarning.
+    `affine` says f and beta are affine, so the Jacobian is constant.
     """
 
     name: str
@@ -81,8 +88,7 @@ class ProblemSpec:
     g: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[float, np.ndarray], np.ndarray] | None = None
     lipschitz_beta: float = 0.0
-    f_is_linear: bool = False
-    beta_is_linear: bool = False
+    affine: bool = False
     velocity_time_independent: bool = True
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
 
@@ -104,15 +110,11 @@ class StepperParams:
     The residual norm is sqrt(sum_K R_K^2 / m_K), compared against
     newton_tol * max(1, ||u^{n-1}||_2).  For affine
     f and beta the direct solve counts as the first iteration, and
-    max_newton_iterations = 0 only checks the residual at u^{n-1}.  Linear
-    systems use a direct sparse factorization.  tau * L_beta above
-    `stability_margin` triggers a StabilityWarning (solvability of the
-    implicit reaction term).
+    max_newton_iterations = 0 only checks the residual at u^{n-1}.
     """
 
     newton_tol: float = 1e-11
     max_newton_iterations: int = 30
-    stability_margin: float = 0.5
 
 
 @dataclass(eq=False)
@@ -137,17 +139,17 @@ class Trajectory:
 class StepWorkspace:
     """Precomputed per-(mesh, tau, edge velocity) assembly data.
 
-    Holds the mass vector, the assembled stiffness, one sparse upwind
+    Holds the mass vector, the assembled stiffness and one sparse upwind
     convection matrix (tau m_sigma v_{K,sigma} from each cell's upstream
     cell, or None without convection), which the residual and the Jacobian
-    share, and the Jacobian's fixed CSR pattern with the position in it of
-    every diagonal, stiffness and convection entry.  For affine f and beta
-    it also holds one reusable SuperLU factorization of the constant
-    Jacobian (`lu`); otherwise `lu` is None and it holds the map from the
-    pattern into LAPACK band storage, so that a Newton iteration fills one
-    value vector and factorizes it as a banded LU, with no sparse-matrix
-    construction.  Monte Carlo drivers build a workspace per level once and
-    push many paths through it.
+    share, and the row and column of every stored entry of the Jacobian's
+    summands.  Building it warns when tau * L_beta exceeds STABILITY_MARGIN
+    and picks the solver: for affine f and beta one reusable SuperLU
+    factorization of the constant Jacobian (`lu`); otherwise `lu` is None
+    and each Newton iteration adds the summands' values at fixed positions
+    into LAPACK band storage and factorizes them as a banded LU, with no
+    sparse-matrix construction.  Monte Carlo drivers build a workspace per
+    level once and push many paths through it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,
@@ -155,6 +157,11 @@ class StepWorkspace:
         self.problem = problem
         self.mesh = mesh
         self.tau = float(tau)
+        if self.tau * problem.lipschitz_beta > STABILITY_MARGIN:
+            warnings.warn(
+                f"tau * L_beta = {self.tau * problem.lipschitz_beta:.3g} "
+                f"exceeds {STABILITY_MARGIN}; the implicit reaction solve may "
+                f"lose its contraction margin", StabilityWarning, stacklevel=2)
         self.tpfa = tpfa if tpfa is not None else TpfaOperator(mesh)
         self.m = mesh.measures
         self.stiffness = self.tpfa.stiffness
@@ -168,29 +175,28 @@ class StepWorkspace:
                  (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]]),
                   np.concatenate([upwind, upwind]))),
                 shape=(n, n)).tocsr()
-        self._indices, self._indptr, positions = _jacobian_pattern(
-            n, [a for a in (self.stiffness, self.conv) if a is not None])
-        self._diag_pos, self._stiff_pos, *conv_pos = positions
-        self._conv_pos = conv_pos[0] if conv_pos else None
-        self.lu = None
-        if problem.f_is_linear and problem.beta_is_linear:
-            self.lu = self._factorize(self.jacobian(np.zeros(n)))
+        cells = np.arange(n)
+        self._entries = [(cells, cells)] + [
+            (coo.row, coo.col) for coo in
+            (a.tocoo() for a in (self.stiffness, self.conv) if a is not None)]
+        if problem.affine:
+            try:
+                self.lu = splu(self.jacobian(np.zeros(n)).tocsc())
+            except RuntimeError as exc:
+                raise SolverError(f"Jacobian factorization failed: {exc}") from exc
+            self._solve = self._lu_solve
         else:
             # Entry (i, j) goes to row 2b + i - j, column j of the
-            # (3b + 1, n) band array; dgbtrf fills the top b rows.
-            rows = _csr_rows(self._indptr)
-            cols = self._indices.astype(np.int64)
-            self._half_band = int(np.max(np.abs(rows - cols)))
-            self._ldab = 3 * self._half_band + 1
-            self._band_pos = (cols * self._ldab + 2 * self._half_band
-                              + rows - cols)
-
-    @staticmethod
-    def _factorize(matrix):
-        try:
-            return splu(matrix.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"Jacobian factorization failed: {exc}") from exc
+            # (3b + 1, n) band array; dgbtrf fills the top b rows.  The
+            # flat positions outgrow int32 on large 3-D meshes.
+            self.lu = None
+            entries = [(i.astype(np.int64), j.astype(np.int64))
+                       for i, j in self._entries]
+            self._half_band = b = max(int(np.max(np.abs(i - j), initial=0))
+                                      for i, j in entries)
+            self._band_pos = [j * (3 * b + 1) + 2 * b + i - j
+                              for i, j in entries]
+            self._solve = self._band_solve
 
     def residual(self, candidate: np.ndarray, previous: np.ndarray,
                  d_w: float) -> np.ndarray:
@@ -211,35 +217,40 @@ class StepWorkspace:
         r -= self.tau * self.m * np.asarray(p.beta(candidate))
         return r
 
+    def _summands(self, candidate: np.ndarray) -> list[np.ndarray]:
+        """The values of the Jacobian's summands at a candidate state, in
+        summation order: diag(m (1 - tau beta'(u))), tau A, conv diag(f'(u))."""
+        p = self.problem
+        values = [self.m * (1.0 - self.tau * np.asarray(p.beta_prime(candidate))),
+                  self.tau * self.stiffness.data]
+        if self.conv is not None:
+            # conv @ diag(f'(u)), by scaling each stored entry by its column
+            values.append(self.conv.data
+                          * np.asarray(p.f_prime(candidate))[self.conv.indices])
+        return values
+
     def jacobian(self, candidate: np.ndarray) -> sp.csr_matrix:
         """The Jacobian of the residual at a candidate state, in CSR."""
         n = self.mesh.n_cells
-        return sp.csr_matrix(
-            (self._jacobian_data(candidate), self._indices, self._indptr),
-            shape=(n, n), copy=True)
+        first, *rest = (sp.csr_matrix((values, entries), shape=(n, n))
+                        for values, entries in zip(self._summands(candidate),
+                                                   self._entries))
+        return sum(rest, first)
 
-    def _jacobian_data(self, candidate: np.ndarray) -> np.ndarray:
-        """The Jacobian's values on the fixed pattern, summed in the order
-        diag(m (1 - tau beta'(u))) + tau A + conv diag(f'(u))."""
-        p = self.problem
-        data = np.zeros(len(self._indices))
-        data[self._diag_pos] = self.m * (
-            1.0 - self.tau * np.asarray(p.beta_prime(candidate)))
-        data[self._stiff_pos] += self.tau * self.stiffness.data
-        if self.conv is not None:
-            # conv @ diag(f'(u)), by scaling each stored entry by its column
-            data[self._conv_pos] += (
-                self.conv.data
-                * np.asarray(p.f_prime(candidate))[self.conv.indices])
-        return data
+    def _lu_solve(self, candidate: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the constant J x = rhs on its SuperLU factorization."""
+        return self.lu.solve(rhs)
 
-    def _newton_solve(self, candidate: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
+    def _band_solve(self, candidate: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
         """Solve J(candidate) x = rhs by a banded LU with partial pivoting."""
         b = self._half_band
-        band = np.zeros((self.mesh.n_cells, self._ldab))
-        band.put(self._band_pos, self._jacobian_data(candidate))
-        lu, piv, info = dgbtrf(band.T, b, b, overwrite_ab=True)
+        n = self.mesh.n_cells
+        band = np.zeros(n * (3 * b + 1))
+        for pos, values in zip(self._band_pos, self._summands(candidate)):
+            band[pos] += values
+        lu, piv, info = dgbtrf(band.reshape(n, 3 * b + 1).T, b, b,
+                               overwrite_ab=True)
         if info > 0:
             raise SolverError("singular Jacobian")
         return dgbtrs(lu, b, b, rhs, piv, overwrite_b=True)[0]
@@ -272,44 +283,12 @@ class StepWorkspace:
                 raise StepFailure(
                     f"Newton stalled at residual {rnorm:.3e} after {max_it} "
                     f"iterations", residual=rnorm)
-            if self.lu is not None:
-                delta = self.lu.solve(-r)
-            else:
-                delta = self._newton_solve(u, -r)
-            u = u + delta
+            u = u + self._solve(u, -r)
         raise AssertionError("unreachable")
 
 
-def _csr_rows(indptr: np.ndarray) -> np.ndarray:
-    """The row of every stored entry of a CSR matrix, in storage order."""
-    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
-                     np.diff(indptr))
-
-
-def _jacobian_pattern(n: int, matrices: list[sp.csr_matrix]):
-    """CSR indices and indptr of the union of the n x n diagonal and the
-    stored entries of `matrices`, with the positions in it of the diagonal
-    and of each matrix's entries, in storage order."""
-    # Keyed row * n + column, sorted keys are CSR order.
-    keys = [np.arange(n, dtype=np.int64) * (n + 1)]
-    keys += [_csr_rows(a.indptr) * n + a.indices for a in matrices]
-    union = np.unique(np.concatenate(keys))
-    indptr = np.searchsorted(union // n, np.arange(n + 1))
-    return ((union % n).astype(np.int32), indptr.astype(np.int32),
-            [np.searchsorted(union, k) for k in keys])
-
-
-def _check_stability(problem: ProblemSpec, tau: float, params: StepperParams):
-    if tau * problem.lipschitz_beta > params.stability_margin:
-        warnings.warn(
-            f"tau * L_beta = {tau * problem.lipschitz_beta:.3g} exceeds "
-            f"{params.stability_margin}; the implicit reaction solve may lose "
-            f"its contraction margin", StabilityWarning, stacklevel=3)
-
-
 def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
-             path: NoisePath, params: StepperParams | None = None,
-             tpfa: TpfaOperator | None = None) -> Trajectory:
+             path: NoisePath, params: StepperParams | None = None) -> Trajectory:
     """Run the scheme over the whole grid with one Brownian path.
 
     The path's fine increments are block-summed onto the grid (the grid step
@@ -324,8 +303,7 @@ def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
             f"path horizon {path.horizon!r} differs from grid horizon "
             f"{grid.horizon!r}")
     increments = coarsen(path, grid.n_steps)
-    _check_stability(problem, grid.tau, params)
-    tpfa = tpfa if tpfa is not None else TpfaOperator(mesh)
+    tpfa = TpfaOperator(mesh)
 
     u0 = cell_average(problem.u0, mesh).values
 

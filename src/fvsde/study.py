@@ -26,7 +26,8 @@ from .mesh import (TensorMesh, build_tensor_mesh, cell_average, injection_map,
                    refine)
 from .noise import MAX_FINE_STEPS, TimeGrid, coarsen, sample_path
 from .presets import get_preset
-from .scheme import StepperParams, build_workspace, integrate_workspace
+from .scheme import (STABILITY_MARGIN, StepperParams, build_workspace,
+                     integrate_workspace)
 from .stats import fit_rate, mc_mean_ci
 
 __all__ = [
@@ -206,15 +207,14 @@ def _inconclusive(rows: list[RateRow]) -> bool:
 
 
 def _base_metadata(config: StudyConfig, problem, extra: dict) -> dict:
-    params = StepperParams()
     return {
         "preset": config.preset,
         "seed": config.seed,
         "paths": config.paths,
         "mesh": list(config.mesh),
         "horizon": problem.horizon,
-        "newton_tol": params.newton_tol,
-        "tau_lbeta_margin": params.stability_margin,
+        "newton_tol": StepperParams().newton_tol,
+        "tau_lbeta_margin": STABILITY_MARGIN,
         "commit": os.environ.get("FVSDE_COMMIT", "unknown"),
         **extra,
     }

@@ -15,7 +15,7 @@ from fvsde.discrete_ops import (dibp_gap, discrete_h1_seminorm,
                                 poincare_constant_estimate)
 from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, refine
-from fvsde.noise import NoisePath, TimeGrid, brownian_values, sample_path
+from fvsde.noise import NoisePath, TimeGrid, coarsen, sample_path
 from fvsde.presets import get_preset
 from fvsde.projections import SmoothFunctionSpec, projection_error_report
 from fvsde.scheme import energy_balance_defects, run_path
@@ -76,7 +76,7 @@ def test_criterion_04_mass_martingale_identity():
     for p in range(4):
         path = sample_path(2468, p, 256, problem.horizon)
         traj = run_path(problem, mesh, grid, path)
-        w = brownian_values(path, 64)
+        w = np.concatenate([[0.0], np.cumsum(coarsen(path, 64))])
         masses = traj.states @ m
         for n in range(1, 65):
             defect = abs(masses[n] - masses[0] - 0.5 * 1.0 * w[n])

@@ -219,12 +219,20 @@ def test_projections_subcommand(tmp_path):
     ["mesh-info"],
     ["temporal", "--seed", "abc"],
     ["temporal", "--steps", "4,x"],
+    ["temporal", "--preset", "nope"],
 ])
 def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_help_and_version_print_to_stdout_and_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fvsde")
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{fvsde.__version__}\n"
 
 
 def test_bad_paths_exit_2_in_one_line_before_any_work(tmp_path, capsys,

@@ -27,6 +27,18 @@ def test_l2_norm_examples():
     assert discrete_l2_norm(CellField(mesh, np.zeros(4))) == 0.0
 
 
+def test_cell_field_rejects_wrong_shape_and_non_finite_values():
+    mesh = _mesh()
+    with pytest.raises(ValueError, match="4 cells"):
+        CellField(mesh, np.ones(5))
+    with pytest.raises(ValueError, match="4 cells"):
+        CellField(mesh, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        CellField(mesh, np.array([0.0, 1.0, np.nan, 2.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        CellField(mesh, np.array([0.0, np.inf, 1.0, 2.0]))
+
+
 def test_h1_seminorm_column_field():
     # values 0 on the left column, 1 on the right: the two x-edges each
     # contribute (0.5/0.5) * 1^2, y-edges contribute nothing -> sqrt(2)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvsde.errors import CouplingError
-from fvsde.noise import (NoisePath, TimeGrid, brownian_values, coarsen,
-                         sample_path)
+from fvsde.noise import NoisePath, TimeGrid, coarsen, sample_path
 
 
 def test_time_grid_basics():
@@ -83,10 +82,10 @@ def test_coarsen_commutes_along_divisor_chains(chain, seed):
 
 def test_brownian_values_nodes():
     path = sample_path(77, 2, 32, 1.0)
-    w = brownian_values(path)
+    w = np.concatenate([[0.0], np.cumsum(coarsen(path, 32))])
     assert w[0] == 0.0
     assert w[-1] == path.increments.sum()
-    coarse = brownian_values(path, 8)
+    coarse = np.concatenate([[0.0], np.cumsum(coarsen(path, 8))])
     # shared nodes agree exactly across resolutions
     np.testing.assert_array_equal(coarse, w[::4])
 

@@ -1,6 +1,8 @@
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -8,6 +10,8 @@ import fvsde
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fvsde.__path__)
                  if m.name != "__main__")
+PACKAGE = pathlib.Path(fvsde.__file__).resolve().parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,3 +30,24 @@ def test_all_exports_are_defined_in_their_module(name):
                if (inspect.isclass(obj) or inspect.isfunction(obj))
                and obj.__module__ != module.__name__]
     assert not foreign, f"fvsde.{name}.__all__ re-exports {foreign}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_read_outside_the_tests(name):
+    # a read: another package module (not the __init__ re-export), the
+    # module itself beyond its def/class line and its __all__ entry, the
+    # README, or the benchmark scripts
+    module = importlib.import_module(f"fvsde.{name}")
+    own = re.sub(r"__all__ = \[.*?\]", "",
+                 (PACKAGE / f"{name}.py").read_text(), flags=re.S)
+    others = [p.read_text() for p in PACKAGE.glob("*.py")
+              if p.stem not in (name, "__init__")]
+    others.append((ROOT / "README.md").read_text())
+    others += [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    unread = []
+    for export in getattr(module, "__all__", ()):
+        word = rf"\b{re.escape(export)}\b"
+        body = re.sub(rf"^(def|class) {word}.*$", "", own, flags=re.M)
+        if not any(re.search(word, text) for text in [body] + others):
+            unread.append(export)
+    assert not unread, f"fvsde.{name}.__all__ names only tests read: {unread}"

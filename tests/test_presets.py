@@ -69,8 +69,7 @@ def test_preset_matches_written_out_formulas(name):
     assert spec.name == name
     assert spec.domain == want["domain"]
     assert spec.horizon == want["horizon"]
-    assert spec.f_is_linear is want["linear"]
-    assert spec.beta_is_linear is want["linear"]
+    assert spec.affine is want["linear"]
     assert spec.lipschitz_beta == want["lipschitz_beta"]
     x = X2 if len(spec.domain) == 2 else X3
     assert np.array_equal(spec.u0(x), want["u0"](x))

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import fvsde.discrete_ops as ops
 from fvsde.discrete_ops import discrete_l2_norm, mass
-from fvsde.errors import SolverError, StabilityWarning, StepFailure
+from fvsde.errors import (CouplingError, SolverError, StabilityWarning,
+                          StepFailure)
 from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, cell_average
-from fvsde.noise import NoisePath, TimeGrid, brownian_values, sample_path
+from fvsde.noise import NoisePath, TimeGrid, coarsen, sample_path
 from fvsde.presets import get_preset, stream_velocity
 from fvsde.scheme import (ProblemSpec, StepperParams, StepWorkspace,
                           build_workspace, energy_balance_defects, run_path,
@@ -42,7 +44,7 @@ def _custom(name, u0_const, beta=None, beta_prime=None, g=None, horizon=0.2,
         g=g or _zero,
         velocity=None,
         lipschitz_beta=lipschitz_beta,
-        f_is_linear=True, beta_is_linear=True,
+        affine=True,
         **kw)
 
 
@@ -174,6 +176,35 @@ def test_fixed_pattern_jacobian_equals_sparse_sum(problem, cells, convection):
     assert np.array_equal(ws.jacobian(u).toarray(), _jacobian_as_sparse_sum(ws, u))
 
 
+def _cube_stream(t, x):
+    """The 2-D stream field in the first two axes, zero in the third."""
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    out[:, :2] = stream_velocity(t, x[:, :2])
+    return out
+
+
+@pytest.mark.parametrize("problem, cells, spacings", [
+    (get_preset("nonlinear"), (4, 4), None),
+    (dataclasses.replace(get_preset("nonlinear"), velocity=None), (4, 4),
+     None),
+    (get_preset("nonlinear"), (5, 3),
+     [[0.1, 0.15, 0.2, 0.25, 0.3], [0.5, 0.3, 0.2]]),
+    (get_preset("nonlinear"), (1, 1), None),
+    (dataclasses.replace(get_preset("nonlinear"), domain=((0.0, 1.0),) * 3,
+                         velocity=_cube_stream), (3, 3, 2), None),
+])
+def test_banded_solve_equals_sparse_direct_solve(problem, cells, spacings):
+    mesh = build_tensor_mesh(problem.domain, cells, spacings=spacings)
+    ws = build_workspace(problem, mesh, 0.01)
+    assert ws.lu is None
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(mesh.n_cells)
+    rhs = rng.standard_normal(mesh.n_cells)
+    want = spla.spsolve(ws.jacobian(u).tocsc(), rhs)
+    got = ws._solve(u, rhs.copy())
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_singular_newton_jacobian_is_a_solver_error():
     # beta(u) = 4u flagged non-linear with tau = 1/4 leaves J = tau A, whose
     # kernel holds the constants.  On two cells the elimination is exact and
@@ -183,7 +214,7 @@ def test_singular_newton_jacobian_is_a_solver_error():
                 beta_prime=lambda u: np.full_like(u, 4.0), f=np.tanh,
                 f_prime=lambda u: 1.0 - np.tanh(u)**2, horizon=0.25,
                 lipschitz_beta=4.0),
-        f_is_linear=False, beta_is_linear=False)
+        affine=False)
     mesh = build_tensor_mesh(UNIT_SQUARE, (2, 1))
     with pytest.warns(StabilityWarning), \
             pytest.raises(SolverError, match="^singular Jacobian$") as exc:
@@ -209,7 +240,7 @@ def test_mass_martingale_identity_additive_noise():
     grid = TimeGrid(32, problem.horizon)
     path = sample_path(6, 0, 128, problem.horizon)
     traj = run_path(problem, mesh, grid, path)
-    w = brownian_values(path, 32)
+    w = np.concatenate([[0.0], np.cumsum(coarsen(path, 32))])
     m0 = mass(traj.field(0))
     for n in range(1, 33):
         defect = abs(mass(traj.field(n)) - m0 - 0.5 * 1.0 * w[n])
@@ -333,7 +364,7 @@ def test_direct_step_checks_the_true_residual():
         get_preset("stochastic"),
         f=lambda u: u + 0.1 * np.tanh(u),
         f_prime=lambda u: 1.0 + 0.1 / np.cosh(u) ** 2)
-    assert problem.f_is_linear
+    assert problem.affine
     mesh = build_tensor_mesh(problem.domain, (8, 8))
     grid = TimeGrid(8, problem.horizon)
     path = sample_path(4, 0, 8, problem.horizon)
@@ -355,6 +386,22 @@ def test_stability_warning_on_large_tau_lbeta():
     with pytest.warns(StabilityWarning):
         run_path(problem, mesh, TimeGrid(1, 0.8),
                  NoisePath(0.8, 1, np.zeros(1), 0, 0))
+
+
+def test_build_workspace_warns_on_large_tau_lbeta():
+    problem = _custom("stiff_reaction", 1.0, beta=_identity, beta_prime=_one,
+                      f=_zero, f_prime=_zero, horizon=0.8, lipschitz_beta=1.0)
+    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
+    with pytest.warns(StabilityWarning, match="tau \\* L_beta = 0.8"):
+        build_workspace(problem, mesh, 0.8)
+
+
+def test_run_path_refuses_a_path_with_another_horizon():
+    problem = get_preset("stochastic")
+    mesh = build_tensor_mesh(problem.domain, (2, 2))
+    with pytest.raises(CouplingError, match="horizon"):
+        run_path(problem, mesh, TimeGrid(4, problem.horizon),
+                 sample_path(1, 0, 4, 2.0 * problem.horizon))
 
 
 def test_newton_advance_matches_run_path_step():

@@ -140,6 +140,8 @@ def test_config_validation_errors():
         ("spatial", {"preset": "heat3d", "mesh": (4, 4)}),
         ("projections", {"mesh": (4, 4, 4)}),
         ("temporal", {"ref_steps": 2**24, "steps": (8, 16)}),
+        ("temporal", {"levels": 0}),
+        ("temporal", {"workers": 0}),
     ]
     for study, overrides in bad:
         with pytest.raises(ConfigError):
