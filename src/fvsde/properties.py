@@ -141,6 +141,33 @@ def _check_mass_identity(rng) -> str:
     return "mass identity holds to n*1e-9 on both noise presets"
 
 
+def _check_noise_factorization() -> str:
+    # f = id, linear beta and g = sigma u make each step (1 + sigma dW_n)
+    # J^-1 M u^{n-1}: a noisy path is the noise-free one times the product
+    # of the factors.  Not a solver shortcut; it pins the step's algebra.
+    worst = 0.0
+    for preset in ("stochastic", "lowmode"):
+        problem = get_preset(preset)
+        sigma = float(problem.g(np.ones(1))[0])
+        mesh = build_tensor_mesh(problem.domain, (16, 16))
+        grid = TimeGrid(64, problem.horizon)
+        path = sample_path(2718, 0, 64, problem.horizon)
+        still = NoisePath(path.horizon, path.n_fine, np.zeros(path.n_fine),
+                          path.seed, path.path_index)
+        noisy = run_path(problem, mesh, grid, path).states
+        factors = np.cumprod(np.concatenate(
+            [[1.0], 1.0 + sigma * coarsen(path, grid.n_steps)]))
+        predicted = factors[:, None] * run_path(problem, mesh, grid,
+                                                still).states
+        rel = np.max(np.abs(noisy - predicted)) / np.max(np.abs(predicted))
+        worst = max(worst, rel)
+        if rel > 1e-12:
+            raise AssertionError(f"{preset}: noise does not factor out, "
+                                 f"relative defect {rel:.3e}")
+    return (f"u^n = prod(1 + sigma dW_k) x noise-free u^n to {worst:.2e} "
+            "relative on stochastic and lowmode")
+
+
 def _check_energy(preset: str) -> str:
     problem = get_preset(preset)
     mesh = build_tensor_mesh(problem.domain, (16, 16))
@@ -276,6 +303,7 @@ def run_property_suite(config: StudyConfig) -> PropertyReport:
         ("discrete_poincare", lambda: _check_poincare(rng)),
         ("upwind_flux_telescoping", lambda: _check_upwind_telescoping(rng)),
         ("mass_martingale_identity", lambda: _check_mass_identity(rng)),
+        ("noise_factorization", _check_noise_factorization),
         ("energy_dissipation_diffusion", lambda: _check_energy("diffusion")),
         ("energy_dissipation_convection", lambda: _check_energy("convection")),
         ("elliptic_projection_contract", lambda: _check_projection(rng)),

@@ -340,26 +340,51 @@ def build_workspace(problem: ProblemSpec, mesh: TensorMesh, tau: float,
 
 def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
                         increments: np.ndarray, params: StepperParams,
+                        rows: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, list[int], list[float]]:
-    """Drive a whole trajectory through one prebuilt workspace."""
-    return _integrate(itertools.repeat(ws), u0_values, increments, params)
+    """Drive a whole trajectory through one prebuilt workspace.
+
+    Returns (states[rows], per-step Newton iterations, per-step residual
+    norms).  `rows` is a strictly increasing array of step indices in
+    [0, N]; only those states are stored, so a caller that reads a few time
+    levels holds a few rows instead of all N + 1.  None keeps every state.
+    """
+    return _integrate(itertools.repeat(ws), u0_values, increments, params,
+                      rows)
 
 
 def _integrate(workspaces: Iterable[StepWorkspace], u0_values: np.ndarray,
                increments: np.ndarray, params: StepperParams,
+               rows: np.ndarray | None = None,
                ) -> tuple[np.ndarray, list[int], list[float]]:
-    """The time-stepping loop: step n advances through the n-th workspace."""
-    states = np.empty((len(increments) + 1, len(u0_values)))
-    states[0] = u0_values
+    """The time-stepping loop: step n advances through the n-th workspace
+    from the state of step n - 1, and the states at `rows` are kept."""
+    n_steps = len(increments)
+    if rows is None:
+        rows = np.arange(n_steps + 1)
+    rows = np.asarray(rows)
+    if (rows.ndim != 1 or rows.dtype.kind not in "iu"
+            or np.any(rows[1:] <= rows[:-1])
+            or rows.size and not 0 <= rows[0] <= rows[-1] <= n_steps):
+        raise ValueError(f"rows must be strictly increasing step indices in "
+                         f"[0, {n_steps}], got {rows!r}")
+    states = np.empty((len(rows), len(u0_values)))
+    u = np.asarray(u0_values, dtype=float)
+    kept = 0
+    if rows.size and rows[0] == 0:
+        states[0] = u
+        kept = 1
     iterations: list[int] = []
     residuals: list[float] = []
     for n, (ws, d_w) in enumerate(zip(workspaces, increments), start=1):
         try:
-            u, it, rnorm = ws.advance(states[n - 1], d_w, params)
+            u, it, rnorm = ws.advance(u, d_w, params)
         except StepFailure as exc:
             raise StepFailure(f"step {n}: {exc}", step=n,
                               residual=exc.residual) from exc
-        states[n] = u
+        if kept < len(rows) and rows[kept] == n:
+            states[kept] = u
+            kept += 1
         iterations.append(it)
         residuals.append(rnorm)
     return states, iterations, residuals

@@ -107,6 +107,12 @@ class StudyConfig:
                               "distinct step counts")
         if self.study in ("spatial", "coupled") and self.levels < 2:
             raise ConfigError(f"{self.study} study needs at least 2 levels")
+        # a level on the reference's own mesh and steps has error exactly 0
+        if (self.study == "temporal" and self.ref_steps in self.steps
+                or self.study == "coupled" and self.steps[-1] == self.ref_steps):
+            raise ConfigError(f"{self.study}: a level runs ref_steps="
+                              f"{self.ref_steps} on the reference mesh, so it "
+                              "is the reference itself; drop it from the chain")
         if self.study == "projections" and self.levels < 3:
             raise ConfigError("projections study needs at least 3 levels")
         dim = 2 if self.study == "projections" else len(
@@ -249,13 +255,29 @@ def _levels(config: StudyConfig, problem) -> tuple[list, tuple | None]:
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
+def _node_indices(n_steps: int, ref_steps: int,
+                  left_interpolant: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The step indices compared at each of a level's n_steps + 1 shared
+    nodes: (level index, reference index).  The right interpolant compares
+    the state after the node's step, the left one the state at the node."""
+    ks = np.arange(n_steps + 1)
+    ratio = ref_steps // n_steps
+    if left_interpolant:
+        return ks, ks * ratio
+    return np.minimum(ks + 1, n_steps), np.minimum(ks * ratio + 1, ref_steps)
+
+
 class _PathEngine:
     """Coupled runs of every level against the reference, path by path.
 
     Path p samples one Brownian path at the reference resolution, runs the
     reference on it and every level on its block sums, and hands the states
     to the study's comparator.  Each mesh gets one TPFA operator and one u0;
-    each level one workspace.  Worker processes build their own engine.
+    each level one workspace.  Each run stores only the rows its comparator
+    reads (None: every state): temporal keeps the final states; coupled keeps
+    every level state and the reference states at the union of the levels'
+    shared nodes; hoelder keeps every reference state.  Worker processes
+    build their own engine.
     """
 
     def __init__(self, config: StudyConfig):
@@ -263,9 +285,20 @@ class _PathEngine:
         self.problem = get_preset(config.preset)
         self.params = StepperParams()
         levels, (self.ref_mesh, ref_steps) = _levels(config, self.problem)
+        runs = levels + [(self.ref_mesh, ref_steps)]
+        rows: list[np.ndarray | None] = [None] * len(runs)
+        if config.study == "temporal":
+            rows = [np.array([n]) for _, n in runs]
+        elif config.study == "coupled":
+            nodes = [_node_indices(n, ref_steps, config.left_interpolant)
+                     for _, n in levels]
+            rows[-1] = np.unique(np.concatenate([r for _, r in nodes]))
+            # each level's reference nodes, as positions in the kept rows
+            self.nodes = [(c_idx, np.searchsorted(rows[-1], r_idx))
+                          for c_idx, r_idx in nodes]
         per_mesh: dict[TensorMesh, tuple] = {}
-        self.runs = []                  # (n_steps, workspace, u0), ref last
-        for mesh, n_steps in levels + [(self.ref_mesh, ref_steps)]:
+        self.runs = []           # (n_steps, workspace, u0, rows), ref last
+        for (mesh, n_steps), kept in zip(runs, rows):
             if mesh not in per_mesh:
                 per_mesh[mesh] = (TpfaOperator(mesh),
                                   cell_average(self.problem.u0, mesh).values)
@@ -273,16 +306,17 @@ class _PathEngine:
             ws = build_workspace(self.problem, mesh,
                                  TimeGrid(n_steps, self.problem.horizon).tau,
                                  tpfa)
-            self.runs.append((n_steps, ws, u0))
+            self.runs.append((n_steps, ws, u0, kept))
         self.compare = _COMPARATORS[config.study]
         self.lifts = [injection_map(ws.mesh, self.ref_mesh)
-                      for _, ws, _ in self.runs[:-1]]
+                      for _, ws, _, _ in self.runs[:-1]]
 
     def run_one(self, path_index: int):
         path = sample_path(self.config.seed, path_index,
                            self.config.ref_steps, self.problem.horizon)
-        states = [integrate_workspace(ws, u0, coarsen(path, n), self.params)[0]
-                  for n, ws, u0 in self.runs]
+        states = [integrate_workspace(ws, u0, coarsen(path, n), self.params,
+                                      kept)[0]
+                  for n, ws, u0, kept in self.runs]
         return self.compare(self, states[:-1], states[-1])
 
 
@@ -298,18 +332,11 @@ def _final_time(engine: _PathEngine, levels, ref) -> np.ndarray:
 
 def _shared_nodes(engine: _PathEngine, levels, ref) -> list[np.ndarray]:
     """Squared L2 distance at every shared node, levels lifted to the
-    reference mesh (right-interpolant nodes unless configured otherwise)."""
-    cfg = engine.config
+    reference mesh (node convention: _node_indices)."""
     out = []
-    for (n_steps, _, _), lift, states in zip(engine.runs, engine.lifts, levels):
-        ks = np.arange(n_steps + 1)
-        if cfg.left_interpolant:
-            c_idx, r_idx = ks, ks * (cfg.ref_steps // n_steps)
-        else:
-            c_idx = np.minimum(ks + 1, n_steps)
-            r_idx = np.minimum(ks * (cfg.ref_steps // n_steps) + 1,
-                               cfg.ref_steps)
-        diff = states[c_idx][:, lift] - ref[r_idx]
+    for (c_idx, r_pos), lift, states in zip(engine.nodes, engine.lifts,
+                                            levels):
+        diff = states[c_idx][:, lift] - ref[r_pos]
         out.append((diff * diff) @ engine.ref_mesh.measures)
     return out
 
@@ -379,10 +406,11 @@ def _spatial_rows(problem, levels) -> list[RateRow]:
         tau = TimeGrid(n_steps, problem.horizon).tau
         ws = build_workspace(problem, mesh, tau)
         u0 = cell_average(problem.u0, mesh).values
-        states, _, _ = integrate_workspace(ws, u0, np.zeros(n_steps), params)
+        (final,), _, _ = integrate_workspace(ws, u0, np.zeros(n_steps), params,
+                                             np.array([n_steps]))
         exact = cell_average(
             lambda x: problem.exact_solution(x, problem.horizon), mesh).values
-        diff = states[-1] - exact
+        diff = final - exact
         err_sq = float(np.dot(mesh.measures, diff * diff))
         rows.append(RateRow(level, mesh.size_h, tau, 1, err_sq, 0.0))
     return rows

@@ -82,6 +82,23 @@ def test_single_path_exit_2(capsys):
     assert main(["temporal", "--paths", "1"]) == 2
 
 
+@pytest.mark.parametrize("study, levels", [("temporal", "1"),
+                                           ("coupled", "2")])
+def test_level_equal_to_reference_exits_2_before_any_work(
+        study, levels, tmp_path, capsys, monkeypatch):
+    from fvsde import cli
+
+    started = []
+    monkeypatch.setattr(cli, "run_rate_study", started.append)
+    out = tmp_path / "out"
+    assert main([study, "--mesh", "4x4", "--levels", levels, "--steps", "4,8",
+                 "--ref-steps", "8", "--paths", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "reference itself" in err
+    assert not started and not out.exists()
+
+
 def test_properties_subcommand_passes(tmp_path, capsys):
     code = main(["properties", "--seed", "42", "--out", str(tmp_path)])
     assert code == 0

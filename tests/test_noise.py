@@ -80,7 +80,7 @@ def test_coarsen_commutes_along_divisor_chains(chain, seed):
     assert np.array_equal(direct, two_stage)
 
 
-def test_brownian_values_nodes():
+def test_coarsened_brownian_values_agree_at_shared_nodes():
     path = sample_path(77, 2, 32, 1.0)
     w = np.concatenate([[0.0], np.cumsum(coarsen(path, 32))])
     assert w[0] == 0.0

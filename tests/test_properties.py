@@ -41,6 +41,17 @@ def test_mass_check_fails_when_the_noise_term_is_scaled(monkeypatch):
         properties._check_mass_identity(np.random.default_rng(0))
 
 
+def test_noise_factorization_check_fails_when_the_step_is_not_linear_in_dw(
+        monkeypatch):
+    def explicit(self, previous, d_w):
+        g = np.asarray(self.problem.g(previous))
+        return self.m * (previous + g * d_w + 0.1 * g * d_w * d_w)
+
+    monkeypatch.setattr(scheme.StepWorkspace, "_explicit", explicit)
+    with pytest.raises(AssertionError, match="noise does not factor out"):
+        properties._check_noise_factorization()
+
+
 class _HalfStiffnessTpfa(TpfaOperator):
     """The scheme diffuses at half the rate the energy identity charges."""
 
@@ -83,5 +94,5 @@ def test_suite_reports_exactly_the_broken_check_and_exits_1(
     failed = [line for line in lines if line.startswith("FAIL")]
     assert failed[0].startswith("FAIL  dibp_identity: AssertionError: ")
     assert failed[1:] == ["FAIL  overall"]
-    assert len(lines) == len(failed) + 12
+    assert len(lines) == len(failed) + 13
     assert all(line.startswith(("PASS  ", "FAIL  ")) for line in lines)

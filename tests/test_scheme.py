@@ -14,7 +14,8 @@ from fvsde.mesh import build_tensor_mesh, cell_average
 from fvsde.noise import NoisePath, TimeGrid, coarsen, sample_path
 from fvsde.presets import get_preset, stream_velocity
 from fvsde.scheme import (ProblemSpec, StepperParams, StepWorkspace,
-                          build_workspace, energy_balance_defects, run_path,
+                          build_workspace, energy_balance_defects,
+                          integrate_workspace, run_path,
                           trajectory_mass_defects)
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
@@ -167,7 +168,7 @@ def _jacobian_as_sparse_sum(ws, u):
     (get_preset("nonlinear"), (5, 3), True),
     (get_preset("nonlinear"), (1, 1), False),   # no interior edges
 ])
-def test_fixed_pattern_jacobian_equals_sparse_sum(problem, cells, convection):
+def test_jacobian_equals_written_out_sparse_sum(problem, cells, convection):
     mesh = build_tensor_mesh(problem.domain, cells)
     ws = build_workspace(problem, mesh, 0.01)
     assert ws.lu is None
@@ -459,3 +460,37 @@ def test_build_workspace_refuses_time_dependent_velocity():
     mesh = build_tensor_mesh(problem.domain, (4, 4))
     with pytest.raises(ValueError, match="time"):
         build_workspace(problem, mesh, 0.01)
+
+
+@pytest.mark.parametrize("preset, cells", [
+    ("stochastic", (8, 8)),          # affine: one direct SuperLU solve a step
+    ("nonlinear", (8, 8)),           # Newton on the banded LU
+    ("heat3d", (3, 3, 2)),
+])
+def test_integrate_workspace_keeps_exactly_the_requested_rows(preset, cells):
+    problem = get_preset(preset)
+    mesh = build_tensor_mesh(problem.domain, cells)
+    n = 16
+    ws = build_workspace(problem, mesh, TimeGrid(n, problem.horizon).tau)
+    u0 = cell_average(problem.u0, mesh).values
+    inc = coarsen(sample_path(21, 3, 64, problem.horizon), n)
+    params = StepperParams()
+    full, iters, resid = integrate_workspace(ws, u0, inc, params)
+    assert full.shape == (n + 1, mesh.n_cells)
+    for rows in ([n], [0], [0, 5, n], [3, 4, 9], list(range(n + 1))):
+        kept, kept_iters, kept_resid = integrate_workspace(
+            ws, u0, inc, params, np.array(rows))
+        assert np.array_equal(kept, full[rows])
+        assert kept_iters == iters and kept_resid == resid
+
+
+@pytest.mark.parametrize("rows", [[3, 2], [1, 1], [-1, 4], [0, 9], [[0, 1]],
+                                  [0.0, 8.0]])
+def test_integrate_workspace_rejects_bad_rows(rows):
+    problem = get_preset("stochastic")
+    mesh = build_tensor_mesh(problem.domain, (4, 4))
+    ws = build_workspace(problem, mesh, TimeGrid(8, problem.horizon).tau)
+    u0 = cell_average(problem.u0, mesh).values
+    with pytest.raises(ValueError, match="rows"):
+        integrate_workspace(ws, u0, np.zeros(8), StepperParams(),
+                            np.array(rows))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvsde.errors import ConfigError
+from fvsde.mesh import build_tensor_mesh, injection_map, refine
+from fvsde.noise import TimeGrid, sample_path
 from fvsde.presets import closed_form_heat_reference, get_preset
 from fvsde.properties import run_property_suite
+from fvsde.scheme import run_path
 from fvsde.stats import fit_rate, mc_mean_ci
 from fvsde.study import default_config, run_rate_study
 
@@ -142,6 +146,10 @@ def test_config_validation_errors():
         ("temporal", {"ref_steps": 2**24, "steps": (8, 16)}),
         ("temporal", {"levels": 0}),
         ("temporal", {"workers": 0}),
+        # a level that is the reference itself
+        ("temporal", {"mesh": (4, 4), "steps": (4, 8), "ref_steps": 8}),
+        ("coupled", {"mesh": (4, 4), "levels": 2, "steps": (4, 8),
+                     "ref_steps": 8}),
     ]
     for study, overrides in bad:
         with pytest.raises(ConfigError):
@@ -197,17 +205,18 @@ def test_spatial_study_3d_smoke():
 
 def test_temporal_engine_zero_error_against_itself():
     # the N = ref_steps level is the reference itself: error exactly zero
-    from fvsde.study import _PathEngine
-    cfg = default_config("temporal", mesh=(6, 6), steps=(32, 16),
-                         ref_steps=32, paths=2)
+    from fvsde.study import StudyConfig, _PathEngine
+    cfg = StudyConfig(study="temporal", preset="stochastic", mesh=(6, 6),
+                      levels=1, steps=(32, 16), ref_steps=32, paths=2)
     engine = _PathEngine(cfg)
     for p in range(2):
         errors = engine.run_one(p)
         assert errors[0] == 0.0
         assert errors[1] > 0.0
-    # and the full study refuses the degenerate chain with a clear error
-    with pytest.raises(ConfigError):
-        run_rate_study(cfg)
+    # and validation refuses the degenerate chain before any path runs
+    with pytest.raises(ConfigError, match="reference itself"):
+        default_config("temporal", mesh=(6, 6), steps=(32, 16), ref_steps=32,
+                       paths=2)
 
 
 def test_temporal_study_deterministic_degenerate_first_order():
@@ -248,6 +257,63 @@ def test_coupled_study_smoke():
         dataclasses.replace(cfg, left_interpolant=True))
     assert left.metadata["interpolant"] == "left"
     assert left.rows != report.rows
+
+
+@pytest.mark.parametrize("left", [False, True])
+def test_coupled_study_equals_brute_force_over_full_trajectories(left):
+    cfg = default_config("coupled", mesh=(4, 4), levels=3, steps=(4, 8, 16),
+                         ref_steps=64, paths=4, left_interpolant=left)
+    (report,) = run_rate_study(cfg)
+    problem = get_preset(cfg.preset)
+    meshes = [build_tensor_mesh(problem.domain, cfg.mesh)]
+    for _ in range(cfg.levels - 1):
+        meshes.append(refine(meshes[-1]))
+    ref_mesh, n_ref = meshes[-1], cfg.ref_steps
+    per_node = [[] for _ in meshes]     # per level: one row of nodes per path
+    for p in range(cfg.paths):
+        path = sample_path(cfg.seed, p, n_ref, problem.horizon)
+        ref = run_path(problem, ref_mesh, TimeGrid(n_ref, problem.horizon),
+                       path).states
+        for level, (mesh, n) in enumerate(zip(meshes, cfg.steps)):
+            states = run_path(problem, mesh, TimeGrid(n, problem.horizon),
+                              path).states
+            lift = injection_map(mesh, ref_mesh)
+            errors = []
+            for k in range(n + 1):
+                if left:
+                    c, r = k, k * (n_ref // n)
+                else:
+                    c, r = min(k + 1, n), min(k * (n_ref // n) + 1, n_ref)
+                d = states[c][lift] - ref[r]
+                errors.append(np.sum(ref_mesh.measures * d * d))
+            per_node[level].append(errors)
+    for row, errors in zip(report.rows, per_node):
+        errors = np.array(errors)
+        worst = errors[:, int(np.argmax(errors.mean(axis=0)))]
+        mean, ci = mc_mean_ci(worst)
+        assert row.err_mean_sq == pytest.approx(mean, rel=1e-12)
+        assert row.ci_half_width == pytest.approx(ci, rel=1e-9)
+
+
+@pytest.mark.parametrize("study, overrides", [
+    ("coupled", {"mesh": (4, 4), "levels": 3, "steps": (4, 8, 16),
+                 "ref_steps": 512}),
+    ("temporal", {"mesh": (16, 16), "steps": (8, 16, 32), "ref_steps": 256}),
+])
+def test_path_engine_peak_memory_is_below_half_the_reference_history(
+        study, overrides):
+    # a path must not hold all N_ref + 1 reference states at once
+    from fvsde.study import _PathEngine
+    engine = _PathEngine(default_config(study, paths=2, **overrides))
+    engine.run_one(0)                   # the first call settles lazy set-up
+    tracemalloc.start()
+    try:
+        engine.run_one(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    history = (overrides["ref_steps"] + 1) * engine.ref_mesh.n_cells * 8
+    assert peak < 0.5 * history, (peak, history)
 
 
 def test_hoelder_smoke_slopes():
