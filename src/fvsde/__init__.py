@@ -10,8 +10,8 @@ from .errors import (CompatibilityWarning, ConfigError, CouplingError,
                      StepFailure)
 from .fields import CellField
 from .mesh import (AdmissibilityReport, TensorMesh, build_tensor_mesh,
-                   cell_average, inject, injection_map, mesh_regularity,
-                   refine, validate_admissibility)
+                   cell_average, inject, injection_map, refine,
+                   validate_admissibility)
 from .discrete_ops import (EdgeVelocity, TpfaOperator, dibp_gap,
                            discrete_h1_seminorm, discrete_l2_norm,
                            edge_velocity, l2_error_vs_function, mass,

@@ -30,7 +30,6 @@ __all__ = [
     "build_tensor_mesh",
     "refine",
     "cell_average",
-    "mesh_regularity",
     "validate_admissibility",
     "injection_map",
     "inject",
@@ -106,7 +105,27 @@ class TensorMesh:
 
     @cached_property
     def regularity(self) -> float:
-        return mesh_regularity(self)
+        """Regularity number: max of the vertex-incidence count and, over
+        interior faces and both adjacent cells, diam(K) / d(x_K, sigma)."""
+        counts = self.cell_counts
+        d = self.dimension
+        # Max number of faces meeting a mesh vertex; for a tensor grid the
+        # max is attained at any interior-most vertex: sum over normal axes
+        # of the number of tangential cell pairs touching the vertex.
+        incidence = 0
+        for a in range(d):
+            term = 1
+            for b in range(d):
+                if b != a:
+                    term *= 2 if counts[b] >= 2 else 1
+            incidence += term
+        ratio = 0.0
+        if self.n_interior_edges:
+            for side in (0, 1):
+                cells = self.edge_cells[:, side]
+                dist = np.abs(self.centers[cells, self.edge_axis] - self.edge_planes)
+                ratio = max(ratio, float(np.max(self.diameters[cells] / dist)))
+        return float(max(incidence, ratio))
 
     @cached_property
     def transmissibilities(self) -> np.ndarray:
@@ -323,30 +342,6 @@ def refine(mesh: TensorMesh) -> TensorMesh:
         out[1::2] = (ax[:-1] + ax[1:]) / 2.0
         new_nodes.append(out)
     return _build_from_nodes(tuple(new_nodes))
-
-
-def mesh_regularity(mesh: TensorMesh) -> float:
-    """Regularity number: max of the vertex-incidence count and, over interior
-    faces and both adjacent cells, diam(K) / d(x_K, sigma)."""
-    counts = mesh.cell_counts
-    d = mesh.dimension
-    # Max number of faces meeting a mesh vertex; for a tensor grid the max is
-    # attained at any interior-most vertex: sum over normal axes of the number
-    # of tangential cell pairs touching the vertex.
-    incidence = 0
-    for a in range(d):
-        term = 1
-        for b in range(d):
-            if b != a:
-                term *= 2 if counts[b] >= 2 else 1
-        incidence += term
-    ratio = 0.0
-    if mesh.n_interior_edges:
-        for side in (0, 1):
-            cells = mesh.edge_cells[:, side]
-            dist = np.abs(mesh.centers[cells, mesh.edge_axis] - mesh.edge_planes)
-            ratio = max(ratio, float(np.max(mesh.diameters[cells] / dist)))
-    return float(max(incidence, ratio))
 
 
 @dataclass

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +46,6 @@ class TimeGrid:
     @property
     def tau(self) -> float:
         return self.horizon / self.n_steps
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,14 +26,17 @@ LAPACK's banded LU with partial pivoting (dgbtrf/dgbtrs), whose cost is
 O(n b^2) for half-bandwidth b.  Every solve has one right-hand side: with
 several, the BLAS kernels behind SuperLU can change a column's bits with the
 number of columns.
+
+The velocity is time-independent: one workspace per (mesh, tau) holds its
+edge average, evaluated once on (0, tau], and integrate_workspace steps
+every path through it in one loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,8 +74,8 @@ class ProblemSpec:
     """Data tuple (u0, f, beta, g, v, T) plus the Lipschitz bound of beta.
 
     All scalar coefficient functions are vectorized over numpy arrays.
-    `velocity(t, x)` maps an (n, d) point array to an (n, d) velocity array;
-    it is assumed divergence-free with zero normal trace on the boundary.
+    `velocity(t, x)` maps (n, d) points to (n, d) velocities; it is assumed
+    time-independent, divergence-free, with zero normal trace on the boundary.
     `lipschitz_beta` is checked against tau for the StabilityWarning.
     `affine` says f and beta are affine, so the Jacobian is constant.
     """
@@ -89,7 +92,6 @@ class ProblemSpec:
     velocity: Callable[[float, np.ndarray], np.ndarray] | None = None
     lipschitz_beta: float = 0.0
     affine: bool = False
-    velocity_time_independent: bool = True
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -130,10 +132,6 @@ class Trajectory:
 
     def field(self, n: int) -> CellField:
         return CellField(self.mesh, self.states[n])
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - 1
 
 
 class StepWorkspace:
@@ -293,48 +291,31 @@ def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
 
     The path's fine increments are block-summed onto the grid (the grid step
     count must divide the path resolution), u_h^0 is the cell average of u0,
-    and each step advances by Newton.  A time-dependent velocity is averaged
-    over each step's own interval.  Step failures abort the path and carry
-    the failing step index.
+    and every step advances by Newton through one workspace built for
+    (mesh, grid.tau).  Step failures abort the path and carry the failing
+    step index.
     """
-    params = params or StepperParams()
     if abs(path.horizon - grid.horizon) > 1e-12 * grid.horizon:
         raise CouplingError(
             f"path horizon {path.horizon!r} differs from grid horizon "
             f"{grid.horizon!r}")
     increments = coarsen(path, grid.n_steps)
-    tpfa = TpfaOperator(mesh)
-
+    ws = build_workspace(problem, mesh, grid.tau)
     u0 = cell_average(problem.u0, mesh).values
-
-    if problem.velocity is None or problem.velocity_time_independent:
-        workspaces = itertools.repeat(
-            build_workspace(problem, mesh, grid.tau, tpfa))
-    else:
-        nodes = grid.nodes
-        workspaces = (
-            StepWorkspace(problem, mesh, grid.tau,
-                          ops.edge_velocity(problem.velocity, mesh,
-                                            nodes[n - 1], nodes[n]), tpfa)
-            for n in range(1, grid.n_steps + 1))
-    states, iterations, residuals = _integrate(workspaces, u0, increments,
-                                               params)
+    states, iterations, residuals = integrate_workspace(
+        ws, u0, increments, params or StepperParams())
     return Trajectory(mesh, grid, states, iterations, residuals, increments)
 
 
 def build_workspace(problem: ProblemSpec, mesh: TensorMesh, tau: float,
                     tpfa: TpfaOperator | None = None) -> StepWorkspace:
-    """Workspace for repeated stepping with a time-independent velocity.
+    """Workspace for every step of size tau on the mesh.
 
-    A time-dependent velocity has a different edge average on every step,
-    so it is refused here; run_path builds one workspace per step for it.
+    The velocity is time-independent, so its edge average is evaluated once,
+    on (0, tau], and serves every step.
     """
-    if problem.velocity is None:
-        return StepWorkspace(problem, mesh, tau, None, tpfa)
-    if not problem.velocity_time_independent:
-        raise ValueError(f"{problem.name}: the velocity depends on time; "
-                         "one workspace cannot serve every step")
-    ev = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
+    ev = (None if problem.velocity is None
+          else ops.edge_velocity(problem.velocity, mesh, 0.0, tau))
     return StepWorkspace(problem, mesh, tau, ev, tpfa)
 
 
@@ -342,23 +323,14 @@ def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
                         increments: np.ndarray, params: StepperParams,
                         rows: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, list[int], list[float]]:
-    """Drive a whole trajectory through one prebuilt workspace.
+    """The time-stepping loop: drive a whole trajectory through one
+    prebuilt workspace.
 
     Returns (states[rows], per-step Newton iterations, per-step residual
     norms).  `rows` is a strictly increasing array of step indices in
     [0, N]; only those states are stored, so a caller that reads a few time
     levels holds a few rows instead of all N + 1.  None keeps every state.
     """
-    return _integrate(itertools.repeat(ws), u0_values, increments, params,
-                      rows)
-
-
-def _integrate(workspaces: Iterable[StepWorkspace], u0_values: np.ndarray,
-               increments: np.ndarray, params: StepperParams,
-               rows: np.ndarray | None = None,
-               ) -> tuple[np.ndarray, list[int], list[float]]:
-    """The time-stepping loop: step n advances through the n-th workspace
-    from the state of step n - 1, and the states at `rows` are kept."""
     n_steps = len(increments)
     if rows is None:
         rows = np.arange(n_steps + 1)
@@ -376,7 +348,7 @@ def _integrate(workspaces: Iterable[StepWorkspace], u0_values: np.ndarray,
         kept = 1
     iterations: list[int] = []
     residuals: list[float] = []
-    for n, (ws, d_w) in enumerate(zip(workspaces, increments), start=1):
+    for n, d_w in enumerate(increments, start=1):
         try:
             u, it, rnorm = ws.advance(u, d_w, params)
         except StepFailure as exc:

@@ -113,13 +113,18 @@ class StudyConfig:
             raise ConfigError(f"{self.study}: a level runs ref_steps="
                               f"{self.ref_steps} on the reference mesh, so it "
                               "is the reference itself; drop it from the chain")
-        if self.study == "projections" and self.levels < 3:
-            raise ConfigError("projections study needs at least 3 levels")
-        dim = 2 if self.study == "projections" else len(
-            get_preset(self.preset).domain)
+        if self.study == "projections" and (self.levels < 3
+                                            or math.prod(self.mesh) < 2):
+            raise ConfigError("projections study needs at least 3 levels and "
+                              "a base mesh of at least 2 cells")
+        problem = get_preset(self.preset)
+        dim = 2 if self.study == "projections" else len(problem.domain)
         if len(self.mesh) != dim:
             raise ConfigError(f"{self.study} with preset {self.preset!r} "
                               f"needs a {dim}-D mesh, got {self.mesh}")
+        if self.study == "spatial" and problem.exact_solution is None:
+            raise ConfigError(f"preset {self.preset!r} has no closed-form "
+                              "solution; the spatial study needs one")
         if self.study == "hoelder" and self.ref_steps < 2 * max(HOELDER_SEPARATIONS):
             raise ConfigError("hoelder study needs ref_steps >= "
                               f"{2 * max(HOELDER_SEPARATIONS)}")
@@ -436,9 +441,6 @@ def run_rate_study(config: StudyConfig) -> list[RateReport]:
     if study != "spatial" and study not in _COMPARATORS:
         raise ConfigError(f"{study!r} is not a rate study")
     problem = get_preset(config.preset)
-    if study == "spatial" and problem.exact_solution is None:
-        raise ConfigError(f"preset {config.preset!r} has no closed-form "
-                          "solution; the spatial study needs one")
     levels, ref = _levels(config, problem)
     if study in ("spatial", "coupled"):
         extra = {"mesh_regularity": [m.regularity for m, _ in levels]}

@@ -237,12 +237,16 @@ def test_projections_subcommand(tmp_path):
     ["temporal", "--seed", "abc"],
     ["temporal", "--steps", "4,x"],
     ["temporal", "--preset", "nope"],
+    ["spatial", "--preset", "stochastic"],
+    ["projections", "--preset", "nope"],
 ])
 def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_help_and_version_print_to_stdout_and_exit_0(capsys):

@@ -7,7 +7,7 @@ import pytest
 from fvsde.errors import MeshError
 from fvsde.fields import CellField
 from fvsde.mesh import (build_tensor_mesh, cell_average, inject, injection_map,
-                        mesh_regularity, refine, validate_admissibility)
+                        refine, validate_admissibility)
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 UNIT_CUBE = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -87,7 +87,7 @@ def test_regularity_uniform_cube():
     mesh = build_tensor_mesh(UNIT_CUBE, (2, 2, 2))
     ratio = math.sqrt(3) * 0.5 / 0.25          # 2 sqrt(3) ~ 3.464
     incidence = 12                              # 4 faces per orientation
-    assert mesh_regularity(mesh) == pytest.approx(max(incidence, ratio))
+    assert mesh.regularity == pytest.approx(max(incidence, ratio))
 
 
 def test_regularity_single_cell_is_vertex_incidence():

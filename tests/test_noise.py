@@ -10,7 +10,6 @@ from fvsde.noise import NoisePath, TimeGrid, coarsen, sample_path
 def test_time_grid_basics():
     grid = TimeGrid(4, 2.0)
     assert grid.tau == 0.5
-    np.testing.assert_allclose(grid.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(ValueError):
         TimeGrid(0, 1.0)
     with pytest.raises(ValueError):

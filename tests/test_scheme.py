@@ -423,45 +423,6 @@ def test_newton_advance_matches_run_path_step():
     assert discrete_l2_norm(state) <= discrete_l2_norm(prev)
 
 
-# -- time-dependent velocity --------------------------------------------------
-
-def _growing_stream(t, x):
-    return (1.0 + t) * stream_velocity(t, x)
-
-
-def _time_dependent_run(velocity, time_independent):
-    problem = dataclasses.replace(get_preset("stochastic"), velocity=velocity,
-                                  velocity_time_independent=time_independent)
-    mesh = build_tensor_mesh(problem.domain, (6, 6))
-    grid = TimeGrid(8, problem.horizon)
-    path = sample_path(21, 0, 32, problem.horizon)
-    return problem, run_path(problem, mesh, grid, path)
-
-
-def test_constant_velocity_flagged_time_dependent_matches_frozen():
-    _, frozen = _time_dependent_run(stream_velocity, True)
-    _, stepped = _time_dependent_run(stream_velocity, False)
-    assert np.array_equal(stepped.states, frozen.states)
-    assert stepped.newton_iterations == frozen.newton_iterations
-
-
-def test_time_dependent_velocity_keeps_mass_and_differs_from_frozen():
-    problem, traj = _time_dependent_run(_growing_stream, False)
-    defects = trajectory_mass_defects(traj, problem)
-    assert np.all(defects <= np.arange(1, traj.n_steps + 1) * 1e-9)
-    _, frozen = _time_dependent_run(_growing_stream, True)
-    assert not np.array_equal(traj.states[-1], frozen.states[-1])
-
-
-def test_build_workspace_refuses_time_dependent_velocity():
-    problem = dataclasses.replace(get_preset("stochastic"),
-                                  velocity=_growing_stream,
-                                  velocity_time_independent=False)
-    mesh = build_tensor_mesh(problem.domain, (4, 4))
-    with pytest.raises(ValueError, match="time"):
-        build_workspace(problem, mesh, 0.01)
-
-
 @pytest.mark.parametrize("preset, cells", [
     ("stochastic", (8, 8)),          # affine: one direct SuperLU solve a step
     ("nonlinear", (8, 8)),           # Newton on the banded LU
@@ -482,6 +443,12 @@ def test_integrate_workspace_keeps_exactly_the_requested_rows(preset, cells):
             ws, u0, inc, params, np.array(rows))
         assert np.array_equal(kept, full[rows])
         assert kept_iters == iters and kept_resid == resid
+    # run_path steps through the same loop: a path whose block sums are the
+    # increments gives the same trajectory bit for bit
+    path = NoisePath(problem.horizon, n, inc, 21, 3)
+    traj = run_path(problem, mesh, TimeGrid(n, problem.horizon), path, params)
+    assert np.array_equal(traj.states, full)
+    assert traj.newton_iterations == iters and traj.residual_norms == resid
 
 
 @pytest.mark.parametrize("rows", [[3, 2], [1, 1], [-1, 4], [0, 9], [[0, 1]],

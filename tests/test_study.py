@@ -158,9 +158,8 @@ def test_config_validation_errors():
 
 
 def test_spatial_study_needs_closed_form():
-    cfg = default_config("spatial", preset="stochastic", levels=3)
-    with pytest.raises(ConfigError):
-        run_rate_study(cfg)
+    with pytest.raises(ConfigError, match="closed-form"):
+        default_config("spatial", preset="stochastic", levels=3)
 
 
 @pytest.mark.parametrize("study", ["properties", "projections"])
