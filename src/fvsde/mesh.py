@@ -8,8 +8,12 @@ normal oriented K -> L; boundary faces are kept for validation only (the
 schemes in this package assign them zero flux).
 
 Cell and face data is held in flat numpy arrays (structure-of-arrays).
-Meshes are immutable after construction and safe to share across threads
-and processes.
+Every one of them is a slice of three per-axis grids over the cells:
+spacing, lower node and upper node.  Cells read the whole grids; the
+interior faces normal to an axis pair the slab of cells before the last
+with the slab after the first, and the boundary faces are the first and
+last slabs.  Meshes are immutable after construction and safe to share
+across threads and processes.
 """
 
 from __future__ import annotations
@@ -173,18 +177,6 @@ class TensorMesh:
         }
 
 
-def _broadcast_product(arrays: Sequence[np.ndarray], shape, skip_axis=None):
-    """Product over axes (optionally skipping one) of 1D arrays broadcast to shape."""
-    out = np.ones(shape)
-    for b, arr in enumerate(arrays):
-        if b == skip_axis:
-            continue
-        view = [None] * len(shape)
-        view[b] = slice(None)
-        out = out * arr[tuple(view)]
-    return out
-
-
 def build_tensor_mesh(
     domain: Sequence[tuple[float, float]],
     cell_counts: Sequence[int],
@@ -233,94 +225,56 @@ def build_tensor_mesh(
 def _build_from_nodes(nodes: tuple[np.ndarray, ...]) -> TensorMesh:
     d = len(nodes)
     counts = tuple(len(ax) - 1 for ax in nodes)
-    sps = [np.diff(ax) for ax in nodes]
-    mids = [(ax[:-1] + ax[1:]) / 2.0 for ax in nodes]
+    # per-axis grids over the cells, C order over the multi-index
+    spacing = np.meshgrid(*[np.diff(ax) for ax in nodes], indexing="ij")
+    lower = np.meshgrid(*[ax[:-1] for ax in nodes], indexing="ij")
+    upper = np.meshgrid(*[ax[1:] for ax in nodes], indexing="ij")
+    index = np.arange(math.prod(counts)).reshape(counts)
 
-    # cells, C-order over the multi-index
-    measures = _broadcast_product(sps, counts).ravel()
-    grids = np.meshgrid(*mids, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=1)
-    diam_sq = np.zeros(counts)
-    for b in range(d):
-        view = [None] * d
-        view[b] = slice(None)
-        diam_sq = diam_sq + sps[b][tuple(view)] ** 2
-    diameters = np.sqrt(diam_sq).ravel()
-    low_grids = np.meshgrid(*[ax[:-1] for ax in nodes], indexing="ij")
-    up_grids = np.meshgrid(*[ax[1:] for ax in nodes], indexing="ij")
-    cell_lower = np.stack([g.ravel() for g in low_grids], axis=1)
-    cell_upper = np.stack([g.ravel() for g in up_grids], axis=1)
+    def stack(grids) -> np.ndarray:
+        return np.stack([g.ravel() for g in grids], axis=1)
 
-    cell_index = np.arange(int(np.prod(counts))).reshape(counts)
+    def slab(a: int, part: slice) -> tuple:
+        return (slice(None),) * a + (part,)
 
-    # interior faces, grouped by normal axis
+    def face_measures(a: int, cells: tuple) -> np.ndarray:
+        """m_sigma of the faces normal to axis a on a slab of cells."""
+        return math.prod(spacing[b][cells]
+                         for b in range(d) if b != a).ravel()
+
+    # interior faces K|L on axis a pair slab [:-1] with slab [1:]; boundary
+    # faces are the first and last slabs; both grouped by normal axis
     e_cells, e_meas, e_dist, e_axis, e_plane = [], [], [], [], []
-    for a in range(d):
-        if counts[a] < 2:
-            continue
-        sl_k = [slice(None)] * d
-        sl_l = [slice(None)] * d
-        sl_k[a] = slice(None, -1)
-        sl_l[a] = slice(1, None)
-        K = cell_index[tuple(sl_k)].ravel()
-        L = cell_index[tuple(sl_l)].ravel()
-        shape = tuple(c - 1 if b == a else c for b, c in enumerate(counts))
-        meas = _broadcast_product(sps, shape, skip_axis=a).ravel()
-        dist_1d = (sps[a][:-1] + sps[a][1:]) / 2.0
-        view = [None] * d
-        view[a] = slice(None)
-        dist = np.broadcast_to(dist_1d[tuple(view)], shape).ravel().copy()
-        plane_1d = nodes[a][1:-1]
-        plane = np.broadcast_to(plane_1d[tuple(view)], shape).ravel().copy()
-        e_cells.append(np.stack([K, L], axis=1))
-        e_meas.append(meas)
-        e_dist.append(dist)
-        e_axis.append(np.full(K.shape[0], a, dtype=np.int64))
-        e_plane.append(plane)
-
-    if e_cells:
-        edge_cells = np.concatenate(e_cells, axis=0)
-        edge_measures = np.concatenate(e_meas)
-        edge_distances = np.concatenate(e_dist)
-        edge_axis = np.concatenate(e_axis)
-        edge_planes = np.concatenate(e_plane)
-    else:
-        edge_cells = np.zeros((0, 2), dtype=np.int64)
-        edge_measures = np.zeros(0)
-        edge_distances = np.zeros(0)
-        edge_axis = np.zeros(0, dtype=np.int64)
-        edge_planes = np.zeros(0)
-
-    # boundary faces
     b_cells, b_meas, b_norm, b_axis = [], [], [], []
     for a in range(d):
-        shape = tuple(1 if b == a else c for b, c in enumerate(counts))
-        meas = _broadcast_product(sps, shape, skip_axis=a).ravel()
-        for idx, sign in ((0, -1.0), (counts[a] - 1, +1.0)):
-            sl = [slice(None)] * d
-            sl[a] = slice(idx, idx + 1)
-            cells_here = cell_index[tuple(sl)].ravel()
-            nrm = np.zeros((cells_here.shape[0], d))
-            nrm[:, a] = sign
-            b_cells.append(cells_here)
-            b_meas.append(meas)
-            b_norm.append(nrm)
-            b_axis.append(np.full(cells_here.shape[0], a, dtype=np.int64))
+        k, l = slab(a, slice(None, -1)), slab(a, slice(1, None))
+        e_cells.append(np.stack([index[k].ravel(), index[l].ravel()], axis=1))
+        e_meas.append(face_measures(a, k))
+        e_dist.append(((spacing[a][k] + spacing[a][l]) / 2.0).ravel())
+        e_axis.append(np.full(e_meas[-1].shape[0], a, dtype=np.int64))
+        e_plane.append(upper[a][k].ravel())
+        for part, sign in ((slice(None, 1), -1.0), (slice(-1, None), +1.0)):
+            cells = slab(a, part)
+            b_cells.append(index[cells].ravel())
+            b_meas.append(face_measures(a, cells))
+            b_norm.append(np.zeros((b_cells[-1].shape[0], d)))
+            b_norm[-1][:, a] = sign
+            b_axis.append(np.full(b_cells[-1].shape[0], a, dtype=np.int64))
 
     return TensorMesh(
         dimension=d,
         nodes=nodes,
         cell_counts=counts,
-        centers=centers,
-        measures=measures,
-        diameters=diameters,
-        cell_lower=cell_lower,
-        cell_upper=cell_upper,
-        edge_cells=edge_cells,
-        edge_measures=edge_measures,
-        edge_distances=edge_distances,
-        edge_axis=edge_axis,
-        edge_planes=edge_planes,
+        centers=stack((lo + up) / 2.0 for lo, up in zip(lower, upper)),
+        measures=math.prod(spacing).ravel(),
+        diameters=np.sqrt(sum(h * h for h in spacing)).ravel(),
+        cell_lower=stack(lower),
+        cell_upper=stack(upper),
+        edge_cells=np.concatenate(e_cells, axis=0),
+        edge_measures=np.concatenate(e_meas),
+        edge_distances=np.concatenate(e_dist),
+        edge_axis=np.concatenate(e_axis),
+        edge_planes=np.concatenate(e_plane),
         bedge_cells=np.concatenate(b_cells),
         bedge_measures=np.concatenate(b_meas),
         bedge_normals=np.concatenate(b_norm, axis=0),
@@ -416,15 +370,10 @@ def cell_average(fn: Callable[[np.ndarray], np.ndarray],
     polynomials of degree 2*QUADRATURE_ORDER - 1 per axis.
     """
     gx, gw = gauss_rule(QUADRATURE_ORDER)
-    sps = mesh.spacings
-    # per-axis evaluation abscissae, shape (n_a, QUADRATURE_ORDER)
-    pts = [mesh.nodes[a][:-1][:, None] + sps[a][:, None] * gx[None, :]
-           for a in range(mesh.dimension)]
+    widths = mesh.cell_upper - mesh.cell_lower
     acc = np.zeros(mesh.n_cells)
     for combo in np.ndindex(*([QUADRATURE_ORDER] * mesh.dimension)):
-        axes = [pts[a][:, combo[a]] for a in range(mesh.dimension)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        x = np.stack([g.ravel() for g in grids], axis=1)
+        x = mesh.cell_lower + widths * gx[list(combo)]
         w = math.prod(gw[c] for c in combo)
         acc += w * np.asarray(fn(x), dtype=float)
     return CellField(mesh, acc)

@@ -26,8 +26,8 @@ from .mesh import (TensorMesh, build_tensor_mesh, cell_average, injection_map,
                    refine)
 from .noise import MAX_FINE_STEPS, TimeGrid, coarsen, sample_path
 from .presets import get_preset
-from .scheme import (STABILITY_MARGIN, StepperParams, build_workspace,
-                     integrate_workspace)
+from .scheme import (_MONOTONE_SAMPLES, STABILITY_MARGIN, StepperParams,
+                     build_workspace, integrate_workspace)
 from .stats import fit_rate, mc_mean_ci
 
 __all__ = [
@@ -113,15 +113,22 @@ class StudyConfig:
             raise ConfigError(f"{self.study}: a level runs ref_steps="
                               f"{self.ref_steps} on the reference mesh, so it "
                               "is the reference itself; drop it from the chain")
-        if self.study == "projections" and (self.levels < 3
-                                            or math.prod(self.mesh) < 2):
-            raise ConfigError("projections study needs at least 3 levels and "
-                              "a base mesh of at least 2 cells")
+        if self.study == "projections" and self.levels < 3:
+            raise ConfigError("projections study needs at least 3 levels")
         problem = get_preset(self.preset)
         dim = 2 if self.study == "projections" else len(problem.domain)
         if len(self.mesh) != dim:
             raise ConfigError(f"{self.study} with preset {self.preset!r} "
                               f"needs a {dim}-D mesh, got {self.mesh}")
+        # with fewer than 2 cells in x (or 3 in y) sin(pi x) (or sin(2 pi y))
+        # vanishes at every node, so every exact cell average of the test
+        # function cos(pi x) cos(2 pi y) is zero: a degenerate base level
+        if self.study == "projections" and (self.mesh[0] < 2
+                                            or self.mesh[1] < 3):
+            raise ConfigError(
+                f"projections: cos(pi x) cos(2 pi y) has zero cell averages "
+                f"on base mesh {self.mesh}; use at least 2 cells in x and 3 "
+                "in y")
         if self.study == "spatial" and problem.exact_solution is None:
             raise ConfigError(f"preset {self.preset!r} has no closed-form "
                               "solution; the spatial study needs one")
@@ -217,6 +224,15 @@ def _inconclusive(rows: list[RateRow]) -> bool:
     return False
 
 
+def _noise_factorizes(problem) -> bool:
+    """Affine f and beta with g(u) = g(1) u.  Each path is then the
+    noise-free path times prod(1 + g(1) dW_k), so a rate measured on such a
+    preset is that of the scalar noise factor, not of a non-linear step."""
+    s = _MONOTONE_SAMPLES
+    return problem.affine and np.array_equal(problem.g(s),
+                                             problem.g(np.ones(1)) * s)
+
+
 def _base_metadata(config: StudyConfig, problem, extra: dict) -> dict:
     return {
         "preset": config.preset,
@@ -224,6 +240,7 @@ def _base_metadata(config: StudyConfig, problem, extra: dict) -> dict:
         "paths": config.paths,
         "mesh": list(config.mesh),
         "horizon": problem.horizon,
+        "noise_factorizes": _noise_factorizes(problem),
         "newton_tol": StepperParams().newton_tol,
         "tau_lbeta_margin": STABILITY_MARGIN,
         "commit": os.environ.get("FVSDE_COMMIT", "unknown"),

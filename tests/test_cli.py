@@ -239,6 +239,10 @@ def test_projections_subcommand(tmp_path):
     ["temporal", "--preset", "nope"],
     ["spatial", "--preset", "stochastic"],
     ["projections", "--preset", "nope"],
+    # the test function's cell averages vanish on these base meshes
+    ["projections", "--mesh", "2x2"],
+    ["projections", "--mesh", "1x4"],
+    ["projections", "--mesh", "3x1"],
 ])
 def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -199,6 +199,73 @@ def test_edge_checks_match_the_per_edge_loop():
             assert found == _per_edge_loop(bad)
 
 
+def _face_by_face(nodes):
+    """Cell and face arrays listed one cell multi-index at a time: faces
+    grouped by normal axis, interior then boundary (low side, high side)."""
+    counts = tuple(len(ax) - 1 for ax in nodes)
+    d = len(counts)
+
+    def h(b, i):
+        return nodes[b][i + 1] - nodes[b][i]
+
+    def flat(idx):
+        return int(np.ravel_multi_index(idx, counts))
+
+    cells = {"measures": [], "diameters": [], "centers": []}
+    for idx in np.ndindex(*counts):
+        cells["measures"].append(math.prod(h(b, idx[b]) for b in range(d)))
+        cells["diameters"].append(
+            math.sqrt(sum(h(b, idx[b]) ** 2 for b in range(d))))
+        cells["centers"].append([(nodes[b][idx[b]] + nodes[b][idx[b] + 1])
+                                 / 2.0 for b in range(d)])
+    edges = {"edge_cells": [], "edge_measures": [], "edge_distances": [],
+             "edge_axis": [], "edge_planes": []}
+    bedges = {"bedge_cells": [], "bedge_measures": [], "bedge_normals": [],
+              "bedge_axis": []}
+    for a in range(d):
+        for idx in np.ndindex(*counts):
+            if idx[a] + 1 == counts[a]:
+                continue
+            right = tuple(i + (b == a) for b, i in enumerate(idx))
+            edges["edge_cells"].append([flat(idx), flat(right)])
+            edges["edge_measures"].append(
+                math.prod(h(b, idx[b]) for b in range(d) if b != a))
+            edges["edge_distances"].append(
+                (h(a, idx[a]) + h(a, idx[a] + 1)) / 2.0)
+            edges["edge_axis"].append(a)
+            edges["edge_planes"].append(nodes[a][idx[a] + 1])
+        for side, sign in ((0, -1.0), (counts[a] - 1, 1.0)):
+            for idx in np.ndindex(*counts):
+                if idx[a] != side:
+                    continue
+                bedges["bedge_cells"].append(flat(idx))
+                bedges["bedge_measures"].append(
+                    math.prod(h(b, idx[b]) for b in range(d) if b != a))
+                bedges["bedge_normals"].append(
+                    [sign if b == a else 0.0 for b in range(d)])
+                bedges["bedge_axis"].append(a)
+    return {**cells, **edges, **bedges}
+
+
+@pytest.mark.parametrize("domain, counts", [
+    (UNIT_SQUARE, (3, 4)),
+    (((0.0, 2.0), (-1.0, 0.5)), (1, 5)),
+    (((0.0, 1.0), (0.0, 3.0), (1.0, 2.0)), (2, 3, 4)),
+    (UNIT_CUBE, (4, 1, 3)),
+])
+def test_slab_mesh_matches_face_by_face_reference(domain, counts):
+    rng = np.random.default_rng(sum(counts))
+    spacings = []
+    for (lo, hi), n in zip(domain, counts):
+        sp = 0.2 + rng.random(n)
+        spacings.append(sp * (hi - lo) / sp.sum())
+    mesh = build_tensor_mesh(domain, counts, spacings)
+    for current in (mesh, refine(mesh)):
+        for name, expected in _face_by_face(current.nodes).items():
+            got = getattr(current, name)
+            assert np.array_equal(got, np.asarray(expected, got.dtype)), name
+
+
 def test_geometric_closure():
     for mesh in (build_tensor_mesh(UNIT_SQUARE, (3, 4)),
                  build_tensor_mesh(UNIT_CUBE, (2, 3, 2))):

@@ -3,12 +3,12 @@ import pytest
 
 from fvsde.discrete_ops import (discrete_h1_seminorm,
                                 l2_error_vs_function, mass)
-from fvsde.errors import CompatibilityWarning
+from fvsde.errors import CompatibilityWarning, ConfigError
 from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, cell_average, refine
 from fvsde.projections import (SmoothFunctionSpec, centered_projection,
-                               elliptic_projection, elliptic_residual,
-                               projection_error_report)
+                               cosine_mode_spec, elliptic_projection,
+                               elliptic_residual, projection_error_report)
 from fvsde.stats import fit_rate
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
@@ -159,6 +159,16 @@ def test_projection_error_report_needs_three_levels():
               build_tensor_mesh(UNIT_SQUARE, (8, 8))]
     with pytest.raises(ValueError):
         projection_error_report(spec, meshes)
+
+
+def test_projection_error_report_refuses_a_rounding_noise_level():
+    # on 2x2 the base-level seminorm gap is ~1e-16, not zero, and its
+    # slope would read about -14
+    meshes = [build_tensor_mesh(UNIT_SQUARE, (2, 2))]
+    for _ in range(2):
+        meshes.append(refine(meshes[-1]))
+    with pytest.raises(ConfigError, match="zero up to rounding"):
+        projection_error_report(cosine_mode_spec(), meshes)
 
 
 def test_report_third_column_roundoff_for_coinciding_case():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fvsde.errors import ConfigError
 from fvsde.mesh import build_tensor_mesh, injection_map, refine
 from fvsde.noise import TimeGrid, sample_path
-from fvsde.presets import closed_form_heat_reference, get_preset
+from fvsde.presets import PRESETS, closed_form_heat_reference, get_preset
 from fvsde.properties import run_property_suite
 from fvsde.scheme import run_path
 from fvsde.stats import fit_rate, mc_mean_ci
@@ -150,6 +150,9 @@ def test_config_validation_errors():
         ("temporal", {"mesh": (4, 4), "steps": (4, 8), "ref_steps": 8}),
         ("coupled", {"mesh": (4, 4), "levels": 2, "steps": (4, 8),
                      "ref_steps": 8}),
+        # zero cell averages of the projections test function
+        ("projections", {"mesh": (1, 8)}),
+        ("projections", {"mesh": (8, 2)}),
     ]
     for study, overrides in bad:
         with pytest.raises(ConfigError):
@@ -224,6 +227,26 @@ def test_temporal_study_deterministic_degenerate_first_order():
                          steps=(8, 16, 32, 64), ref_steps=256, paths=2)
     (report,) = run_rate_study(cfg)
     assert 0.85 <= report.slope <= 1.3
+
+
+def test_temporal_nonlinear_rate_in_criterion_2_window():
+    # the Newton path: f = tanh, beta = 0.3 sin u, g = 0.5 sin u
+    cfg = default_config("temporal", preset="nonlinear", mesh=(8, 8),
+                         steps=(8, 16, 32, 64), ref_steps=512, paths=64,
+                         workers=2)
+    (report,) = run_rate_study(cfg)
+    assert report.metadata["noise_factorizes"] is False
+    assert 0.35 <= report.slope <= 0.75, report.slope
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_summary_names_the_factorizing_regime(preset):
+    from fvsde.study import _base_metadata
+    problem = get_preset(preset)
+    config = default_config("temporal", preset=preset,
+                            mesh=(4,) * len(problem.domain))
+    expected = preset not in ("additive", "nonlinear")
+    assert _base_metadata(config, problem, {})["noise_factorizes"] is expected
 
 
 def test_temporal_ci_shrinks_with_more_paths():
