@@ -14,11 +14,13 @@ positive semidefinite with kernel exactly the constants on a connected mesh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from .errors import MeshError, SolverError
@@ -195,40 +197,24 @@ def grounded_solver(op: TpfaOperator) -> Callable[[np.ndarray], np.ndarray]:
 def poincare_constant_estimate(mesh: TensorMesh) -> float:
     """Smallest constant C_p with ||w||_2^2 <= C_p |w|_{1,h}^2 for zero-mean w.
 
-    Equals the largest Rayleigh quotient w'Mw / w'Aw over mass-zero fields,
-    computed by power iteration on the inverse stiffness restricted to the
-    zero-mean complement (one grounded unknown makes the solve definite).
-    Iteration stops when the quotient changes by less than 1e-8 relatively,
-    and fails after 500 iterations.
+    Equals 1 / lambda_2, lambda_2 the smallest nonzero eigenvalue of the
+    pencil (A, M) with M = diag(m_K).  On a tensor mesh A = sum_a A_a (x)
+    prod_{b != a} M_b, with A_a the 1-D stiffness of axis a (transmissibility
+    1 / d_KL) and M_b = diag(h_b), so the pencil's eigenvalues are the sums
+    of one eigenvalue of (A_a, M_a) per axis, and lambda_2 is the smallest
+    nonzero one of any axis with at least 2 cells.
     """
     if mesh.n_cells < 2:
         raise ValueError("need at least 2 cells")
-    op = TpfaOperator(mesh)
-    solve = grounded_solver(op)
-    m = mesh.measures
-    dom = float(m.sum())
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(mesh.n_cells)
-    w -= np.dot(m, w) / dom
-    quotient = None
-    for _ in range(500):
-        b = m * w
-        y = solve(b)
-        y -= np.dot(m, y) / dom
-        ay = op.apply(y)
-        denom = float(np.dot(y, ay))
-        if denom <= 0.0:
-            raise SolverError("power iteration left the positive cone")
-        new_q = float(np.dot(y, m * y)) / denom
-        norm = float(np.sqrt(np.dot(y, m * y)))
-        if norm == 0.0:
-            raise SolverError("power iteration collapsed to zero")
-        w = y / norm
-        if quotient is not None and abs(new_q - quotient) <= 1e-8 * new_q:
-            return new_q
-        quotient = new_q
-    raise SolverError("power iteration did not converge "
-                      f"(last quotient {quotient!r})")
+    lam = math.inf
+    for h in mesh.spacings:
+        if h.size < 2:
+            continue
+        t = 2.0 / (h[:-1] + h[1:])
+        diag = np.concatenate([t, [0.0]]) + np.concatenate([[0.0], t])
+        a = np.diag(diag) - np.diag(t, 1) - np.diag(t, -1)
+        lam = min(lam, eigh(a, np.diag(h), eigvals_only=True)[1])
+    return 1.0 / lam
 
 
 def l2_error_vs_function(field: CellField,

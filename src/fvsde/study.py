@@ -85,7 +85,7 @@ class StudyConfig:
                               f"got {self.mesh}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.paths < 2:
+        if self.study in _COMPARATORS and self.paths < 2:
             raise ConfigError("paths must be >= 2 (confidence intervals need "
                               "at least two samples)")
         if self.levels < 1:
@@ -277,16 +277,20 @@ def _levels(config: StudyConfig, problem) -> tuple[list, tuple | None]:
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _node_indices(n_steps: int, ref_steps: int,
-                  left_interpolant: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The step indices compared at each of a level's n_steps + 1 shared
-    nodes: (level index, reference index).  The right interpolant compares
-    the state after the node's step, the left one the state at the node."""
+def _node_indices(config: StudyConfig,
+                  n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs (level step index, reference step index) a level of
+    n_steps is compared at.  temporal: the final time alone.  coupled: each
+    of the n_steps + 1 shared nodes; the right interpolant compares the
+    state after the node's step, the left one the state at the node."""
+    if config.study == "temporal":
+        return np.array([n_steps]), np.array([config.ref_steps])
     ks = np.arange(n_steps + 1)
-    ratio = ref_steps // n_steps
-    if left_interpolant:
+    ratio = config.ref_steps // n_steps
+    if config.left_interpolant:
         return ks, ks * ratio
-    return np.minimum(ks + 1, n_steps), np.minimum(ks * ratio + 1, ref_steps)
+    return (np.minimum(ks + 1, n_steps),
+            np.minimum(ks * ratio + 1, config.ref_steps))
 
 
 class _PathEngine:
@@ -296,10 +300,9 @@ class _PathEngine:
     reference on it and every level on its block sums, and hands the states
     to the study's comparator.  Each mesh gets one TPFA operator and one u0;
     each level one workspace.  Each run stores only the rows its comparator
-    reads (None: every state): temporal keeps the final states; coupled keeps
-    every level state and the reference states at the union of the levels'
-    shared nodes; hoelder keeps every reference state.  Worker processes
-    build their own engine.
+    reads (None: every state): a level keeps the rows of its node pairs and
+    the reference the union of the levels' reference rows; hoelder keeps
+    every reference state.  Worker processes build their own engine.
     """
 
     def __init__(self, config: StudyConfig):
@@ -309,15 +312,14 @@ class _PathEngine:
         levels, (self.ref_mesh, ref_steps) = _levels(config, self.problem)
         runs = levels + [(self.ref_mesh, ref_steps)]
         rows: list[np.ndarray | None] = [None] * len(runs)
-        if config.study == "temporal":
-            rows = [np.array([n]) for _, n in runs]
-        elif config.study == "coupled":
-            nodes = [_node_indices(n, ref_steps, config.left_interpolant)
-                     for _, n in levels]
-            rows[-1] = np.unique(np.concatenate([r for _, r in nodes]))
-            # each level's reference nodes, as positions in the kept rows
-            self.nodes = [(c_idx, np.searchsorted(rows[-1], r_idx))
-                          for c_idx, r_idx in nodes]
+        if config.study != "hoelder":
+            nodes = [_node_indices(config, n) for _, n in levels]
+            rows = [np.unique(c_idx) for c_idx, _ in nodes]
+            rows.append(np.unique(np.concatenate([r for _, r in nodes])))
+            # each level's node pairs, as positions in the two runs' kept rows
+            self.nodes = [(np.searchsorted(kept, c_idx),
+                           np.searchsorted(rows[-1], r_idx))
+                          for (c_idx, r_idx), kept in zip(nodes, rows)]
         per_mesh: dict[TensorMesh, tuple] = {}
         self.runs = []           # (n_steps, workspace, u0, rows), ref last
         for (mesh, n_steps), kept in zip(runs, rows):
@@ -342,23 +344,13 @@ class _PathEngine:
         return self.compare(self, states[:-1], states[-1])
 
 
-def _final_time(engine: _PathEngine, levels, ref) -> np.ndarray:
-    """Squared final-time L2 distance of each level to the reference."""
-    m = engine.ref_mesh.measures
-    out = np.empty(len(levels))
-    for i, states in enumerate(levels):
-        diff = states[-1] - ref[-1]
-        out[i] = float(np.dot(m, diff * diff))
-    return out
-
-
 def _shared_nodes(engine: _PathEngine, levels, ref) -> list[np.ndarray]:
-    """Squared L2 distance at every shared node, levels lifted to the
-    reference mesh (node convention: _node_indices)."""
+    """Squared L2 distance at each of a level's node pairs (_node_indices),
+    the level lifted to the reference mesh."""
     out = []
-    for (c_idx, r_pos), lift, states in zip(engine.nodes, engine.lifts,
+    for (c_pos, r_pos), lift, states in zip(engine.nodes, engine.lifts,
                                             levels):
-        diff = states[c_idx][:, lift] - ref[r_pos]
+        diff = states[c_pos][:, lift] - ref[r_pos]
         out.append((diff * diff) @ engine.ref_mesh.measures)
     return out
 
@@ -378,7 +370,7 @@ def _increments(engine: _PathEngine, levels, ref):
     return vals, grads
 
 
-_COMPARATORS = {"temporal": _final_time, "coupled": _shared_nodes,
+_COMPARATORS = {"temporal": _shared_nodes, "coupled": _shared_nodes,
                 "hoelder": _increments}
 
 _WORKER_ENGINE = None
@@ -442,13 +434,14 @@ def run_rate_study(config: StudyConfig) -> list[RateReport]:
     """The study's rate reports: one for spatial, temporal and coupled, and
     for hoelder the L2 then the H1-seminorm report.
 
-    temporal: RMS over paths of the final-time discrete L2 distance between
-    each coarse run and the reference run driven by the same Brownian path,
-    on one mesh.  coupled: simultaneous tau, h refinement against the finest
-    level; per level, the Monte Carlo mean of the squared discrete L2
-    distance at every shared time node (coarse states lifted through the
-    parent-cell map, right-interpolant node convention unless configured
-    otherwise), and the level error is the sup over nodes.  hoelder: mean
+    temporal and coupled: per level, the Monte Carlo mean of the squared
+    discrete L2 distance to the reference run driven by the same Brownian
+    path at each of the level's node pairs (_node_indices), and the level
+    error is the sup over its pairs.  temporal runs one mesh and compares
+    the final time alone; coupled refines tau and h together against the
+    finest level, lifts coarse states through the parent-cell map and
+    compares every shared time node (right-interpolant node convention
+    unless configured otherwise).  hoelder: mean
     squared increments of the reference run against the separation |t - s|,
     dyadic multiples of the step with anchors over the whole trajectory;
     the expected slope is about 1 in both norms.
@@ -479,14 +472,12 @@ def run_rate_study(config: StudyConfig) -> list[RateReport]:
                 for i, norm in enumerate(("l2", "h1"))]
     extra["ref_steps"] = config.ref_steps
     h_tau = [(m.size_h, problem.horizon / n) for m, n in levels]
-    if study == "temporal":
-        md = _base_metadata(config, problem, extra)
-        return [_mc_report(study, config, np.asarray(results).T, h_tau,
-                           "tau", md)]
     columns = []
     for level in range(len(levels)):
         stacked = np.stack([results[p][level] for p in range(config.paths)])
         columns.append(stacked[:, int(np.argmax(stacked.mean(axis=0)))])
-    extra["interpolant"] = "left" if config.left_interpolant else "right"
+    if study == "coupled":
+        extra["interpolant"] = "left" if config.left_interpolant else "right"
     md = _base_metadata(config, problem, extra)
-    return [_mc_report(study, config, columns, h_tau, "h", md)]
+    return [_mc_report(study, config, columns, h_tau,
+                       "tau" if study == "temporal" else "h", md)]

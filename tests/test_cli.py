@@ -82,6 +82,14 @@ def test_single_path_exit_2(capsys):
     assert main(["temporal", "--paths", "1"]) == 2
 
 
+def test_single_path_is_accepted_by_a_study_without_paths(tmp_path):
+    # spatial runs one deterministic trajectory and never reads --paths
+    out = tmp_path / "out"
+    assert main(["spatial", "--levels", "2", "--paths", "1",
+                 "--out", str(out)]) == 0
+    assert (out / "spatial_rates.csv").exists()
+
+
 @pytest.mark.parametrize("study, levels", [("temporal", "1"),
                                            ("coupled", "2")])
 def test_level_equal_to_reference_exits_2_before_any_work(

@@ -211,6 +211,19 @@ def test_poincare_two_cell_closed_form():
     assert poincare_constant_estimate(mesh) == pytest.approx(0.125, abs=1e-9)
 
 
+def test_poincare_matches_dense_eigensolve_on_graded_3d_mesh():
+    # oracle: 1 / lambda_2 of the full pencil (A, diag(m_K)), lambda_1 = 0
+    import scipy.linalg
+    mesh = build_tensor_mesh(((0.0, 1.0), (0.0, 0.6), (0.0, 2.0)), (4, 3, 5),
+                             spacings=[[0.1, 0.2, 0.3, 0.4], [0.1, 0.3, 0.2],
+                                       [0.5, 0.2, 0.6, 0.3, 0.4]])
+    stiffness = TpfaOperator(mesh).stiffness.toarray()
+    lam = scipy.linalg.eigh(stiffness, np.diag(mesh.measures),
+                            eigvals_only=True)
+    assert poincare_constant_estimate(mesh) == pytest.approx(1.0 / lam[1],
+                                                             rel=1e-12)
+
+
 def test_poincare_refinement_approaches_continuum():
     # first nonzero Neumann eigenvalue of the unit square is pi^2
     estimates = []

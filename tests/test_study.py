@@ -212,9 +212,9 @@ def test_temporal_engine_zero_error_against_itself():
                       levels=1, steps=(32, 16), ref_steps=32, paths=2)
     engine = _PathEngine(cfg)
     for p in range(2):
-        errors = engine.run_one(p)
-        assert errors[0] == 0.0
-        assert errors[1] > 0.0
+        errors = engine.run_one(p)      # one array of node errors per level
+        assert errors[0][0] == 0.0
+        assert errors[1][0] > 0.0
     # and validation refuses the degenerate chain before any path runs
     with pytest.raises(ConfigError, match="reference itself"):
         default_config("temporal", mesh=(6, 6), steps=(32, 16), ref_steps=32,
@@ -281,15 +281,22 @@ def test_coupled_study_smoke():
     assert left.rows != report.rows
 
 
-@pytest.mark.parametrize("left", [False, True])
+@pytest.mark.parametrize("left", [False, True,
+                                  pytest.param(None, id="temporal")])
 def test_coupled_study_equals_brute_force_over_full_trajectories(left):
-    cfg = default_config("coupled", mesh=(4, 4), levels=3, steps=(4, 8, 16),
-                         ref_steps=64, paths=4, left_interpolant=left)
+    # left is None: the temporal study, whose one node is the final time
+    if left is None:
+        cfg = default_config("temporal", mesh=(4, 4), steps=(4, 8, 16),
+                             ref_steps=64, paths=4)
+    else:
+        cfg = default_config("coupled", mesh=(4, 4), levels=3,
+                             steps=(4, 8, 16), ref_steps=64, paths=4,
+                             left_interpolant=left)
     (report,) = run_rate_study(cfg)
     problem = get_preset(cfg.preset)
     meshes = [build_tensor_mesh(problem.domain, cfg.mesh)]
-    for _ in range(cfg.levels - 1):
-        meshes.append(refine(meshes[-1]))
+    for _ in range(len(cfg.steps) - 1):
+        meshes.append(meshes[-1] if left is None else refine(meshes[-1]))
     ref_mesh, n_ref = meshes[-1], cfg.ref_steps
     per_node = [[] for _ in meshes]     # per level: one row of nodes per path
     for p in range(cfg.paths):
@@ -300,12 +307,15 @@ def test_coupled_study_equals_brute_force_over_full_trajectories(left):
             states = run_path(problem, mesh, TimeGrid(n, problem.horizon),
                               path).states
             lift = injection_map(mesh, ref_mesh)
+            if left is None:
+                pairs = [(n, n_ref)]
+            elif left:
+                pairs = [(k, k * (n_ref // n)) for k in range(n + 1)]
+            else:
+                pairs = [(min(k + 1, n), min(k * (n_ref // n) + 1, n_ref))
+                         for k in range(n + 1)]
             errors = []
-            for k in range(n + 1):
-                if left:
-                    c, r = k, k * (n_ref // n)
-                else:
-                    c, r = min(k + 1, n), min(k * (n_ref // n) + 1, n_ref)
+            for c, r in pairs:
                 d = states[c][lift] - ref[r]
                 errors.append(np.sum(ref_mesh.measures * d * d))
             per_node[level].append(errors)
