@@ -15,8 +15,7 @@ from .mesh import (AdmissibilityReport, TensorMesh, build_tensor_mesh,
 from .discrete_ops import (EdgeVelocity, TpfaOperator, dibp_gap,
                            discrete_h1_seminorm, discrete_l2_norm,
                            edge_velocity, l2_error_vs_function, mass,
-                           poincare_constant_estimate, upwind_cells,
-                           upwind_trace)
+                           poincare_constant_estimate, upwind_cells)
 from .noise import NoisePath, TimeGrid, coarsen, sample_path
 from .scheme import ProblemSpec, StepperParams, Trajectory, run_path
 from .projections import (SmoothFunctionSpec, centered_projection,

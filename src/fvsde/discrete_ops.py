@@ -1,5 +1,5 @@
-"""Discrete norms, the TPFA diffusion operator, upwind traces and the
-discrete identities (integration by parts, Poincare) used by the scheme
+"""Discrete norms, the TPFA diffusion operator, the upwind convection matrix
+and the discrete identities (integration by parts, Poincare) used by the scheme
 and its diagnostics.
 
 Conventions, for a field w_h = sum_K w_K 1_K:
@@ -35,7 +35,7 @@ __all__ = [
     "discrete_h1_seminorm",
     "edge_velocity",
     "upwind_cells",
-    "upwind_trace",
+    "convection_matrix",
     "dibp_row_form",
     "dibp_edge_form",
     "dibp_gap",
@@ -73,10 +73,6 @@ class TpfaOperator:
         data = np.concatenate([t, t, -t, -t])
         self.stiffness = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         self.measures = mesh.measures
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """(A w)_K = sum_sigma t_sigma (w_K - w_L)."""
-        return self.stiffness @ values
 
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
         """Discrete Neumann Laplacian, (1/m_K) sum_sigma t_sigma (w_L - w_K)."""
@@ -145,22 +141,25 @@ def upwind_cells(edge_vel: EdgeVelocity) -> np.ndarray:
                     mesh.edge_cells[:, 0], mesh.edge_cells[:, 1])
 
 
-def upwind_trace(field: CellField, edge_vel: EdgeVelocity) -> np.ndarray:
-    """u_sigma per interior face: u_K where v_{K,sigma} >= 0, else u_L."""
-    if field.mesh is not edge_vel.mesh:
-        raise MeshError("field and edge velocity live on different meshes")
-    return field.values[upwind_cells(edge_vel)]
+def convection_matrix(edge_vel: EdgeVelocity, tau: float) -> sp.csr_matrix:
+    """(C f)_K = tau sum_sigma m_sigma v_{K,sigma} f(upstream cell of sigma).
+    tau scales each face before faces sharing an entry are summed; scaling
+    the sums would round differently."""
+    mesh = edge_vel.mesh
+    n = mesh.n_cells
+    flux = tau * (mesh.edge_measures * edge_vel.values)
+    upwind = upwind_cells(edge_vel)
+    return sp.coo_matrix(
+        (np.concatenate([flux, -flux]),
+         (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]]),
+          np.concatenate([upwind, upwind]))),
+        shape=(n, n)).tocsr()
 
 
 def dibp_row_form(w: CellField, v: CellField) -> float:
-    """sum_K sum_{sigma in E_K^int} t_sigma (w_K - w_L) v_K."""
-    mesh = w.mesh
-    flux = mesh.transmissibilities * (w.values[mesh.edge_cells[:, 0]]
-                                      - w.values[mesh.edge_cells[:, 1]])
-    acc = np.zeros(mesh.n_cells)
-    np.add.at(acc, mesh.edge_cells[:, 0], flux)
-    np.add.at(acc, mesh.edge_cells[:, 1], -flux)
-    return float(np.dot(acc, v.values))
+    """sum_K sum_{sigma in E_K^int} t_sigma (w_K - w_L) v_K, i.e. v . (A w)
+    with A the assembled TPFA stiffness."""
+    return float(np.dot(v.values, TpfaOperator(w.mesh).stiffness @ w.values))
 
 
 def dibp_edge_form(w: CellField, v: CellField) -> float:

@@ -125,7 +125,7 @@ def elliptic_residual(spec: SmoothFunctionSpec, field: CellField) -> float:
     op = TpfaOperator(mesh)
     rhs = -mesh.measures * cell_average(spec.laplacian, mesh).values
     rhs -= rhs.sum() / mesh.n_cells
-    return float(np.max(np.abs(op.apply(field.values) - rhs)))
+    return float(np.max(np.abs(op.stiffness @ field.values - rhs)))
 
 
 @dataclass

@@ -64,8 +64,8 @@ def property_report_text(report: PropertyReport) -> str:
 
 
 def svg_loglog(report: RateReport, title: str) -> str:
-    """Minimal log-log line-and-points plot of error vs scale, with the fit,
-    on a 480 x 360 canvas."""
+    """Minimal log-log line-and-points plot of error vs scale on a 480 x 360
+    canvas; no fit line is drawn, so a slope shows only in the title."""
     width, height = 480, 360
     xs = [row.h if report.scale_name == "h" else row.tau for row in report.rows]
     if report.scale_name == "dt":

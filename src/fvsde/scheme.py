@@ -138,16 +138,16 @@ class StepWorkspace:
     """Precomputed per-(mesh, tau, edge velocity) assembly data.
 
     Holds the mass vector, the assembled stiffness and one sparse upwind
-    convection matrix (tau m_sigma v_{K,sigma} from each cell's upstream
-    cell, or None without convection), which the residual and the Jacobian
-    share, and the row and column of every stored entry of the Jacobian's
-    summands.  Building it warns when tau * L_beta exceeds STABILITY_MARGIN
-    and picks the solver: for affine f and beta one reusable SuperLU
-    factorization of the constant Jacobian (`lu`); otherwise `lu` is None
-    and each Newton iteration adds the summands' values at fixed positions
-    into LAPACK band storage and factorizes them as a banded LU, with no
-    sparse-matrix construction.  Monte Carlo drivers build a workspace per
-    level once and push many paths through it.
+    convection matrix (`discrete_ops.convection_matrix`, or None without
+    convection), which the residual and the Jacobian share, and the row and
+    column of every stored entry of the Jacobian's summands.  Building it
+    warns when tau * L_beta exceeds STABILITY_MARGIN and picks the solver:
+    for affine f and beta one reusable SuperLU factorization of the constant
+    Jacobian (`lu`); otherwise `lu` is None and each Newton iteration adds
+    the summands' values at fixed positions into LAPACK band storage and
+    factorizes them as a banded LU, with no sparse-matrix construction.
+    Monte Carlo drivers build a workspace per level once and push many paths
+    through it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,
@@ -166,13 +166,7 @@ class StepWorkspace:
         n = mesh.n_cells
         self.conv = None
         if edge_vel is not None and np.any(edge_vel.values != 0.0):
-            flux = self.tau * (mesh.edge_measures * edge_vel.values)
-            upwind = ops.upwind_cells(edge_vel)
-            self.conv = sp.coo_matrix(
-                (np.concatenate([flux, -flux]),
-                 (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]]),
-                  np.concatenate([upwind, upwind]))),
-                shape=(n, n)).tocsr()
+            self.conv = ops.convection_matrix(edge_vel, self.tau)
         cells = np.arange(n)
         self._entries = [(cells, cells)] + [
             (coo.row, coo.col) for coo in

@@ -135,6 +135,18 @@ class StudyConfig:
         if self.study == "hoelder" and self.ref_steps < 2 * max(HOELDER_SEPARATIONS):
             raise ConfigError("hoelder study needs ref_steps >= "
                               f"{2 * max(HOELDER_SEPARATIONS)}")
+        # every preset keeps a uniform state uniform, so the spatial errors
+        # and Hoelder increments of a uniform base datum are rounding noise
+        if self.study in ("spatial", "hoelder"):
+            avg = cell_average(problem.u0,
+                               build_tensor_mesh(problem.domain, self.mesh)).values
+            spread = float(avg.max() - avg.min())
+            if spread <= 1e-12 * max(1.0, float(np.max(np.abs(avg)))):
+                raise ConfigError(
+                    f"{self.study}: the initial datum of preset {self.preset!r} "
+                    f"is uniform on base mesh {self.mesh} (cell averages span "
+                    f"{spread:.1e}), so every error is rounding noise; refine "
+                    "the base mesh")
         return self
 
 

@@ -251,6 +251,12 @@ def test_projections_subcommand(tmp_path):
     ["projections", "--mesh", "2x2"],
     ["projections", "--mesh", "1x4"],
     ["projections", "--mesh", "3x1"],
+    # the initial datum is uniform on these base meshes
+    ["spatial", "--levels", "3", "--mesh", "1x4"],
+    ["spatial", "--preset", "heat3d", "--levels", "2", "--mesh", "1x2x2"],
+    ["hoelder", "--mesh", "1x4"],
+    ["hoelder", "--mesh", "1x1"],
+    ["hoelder", "--preset", "stochastic", "--mesh", "4x1"],
 ])
 def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
     out = tmp_path / "out"

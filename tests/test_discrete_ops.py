@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fvsde.discrete_ops import (EdgeVelocity, TpfaOperator, dibp_edge_form,
-                                dibp_gap, dibp_row_form, discrete_h1_seminorm,
-                                discrete_l2_norm, edge_velocity,
-                                l2_error_vs_function, mass,
-                                poincare_constant_estimate, upwind_trace)
+from fvsde.discrete_ops import (EdgeVelocity, TpfaOperator, convection_matrix,
+                                dibp_edge_form, dibp_gap, dibp_row_form,
+                                discrete_h1_seminorm, discrete_l2_norm,
+                                edge_velocity, l2_error_vs_function, mass,
+                                poincare_constant_estimate)
+from fvsde.errors import MeshError
 from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, cell_average, refine
 
@@ -158,11 +159,14 @@ def test_edge_velocity_stream_preset_vs_composite_oracle():
 
 
 def test_upwind_trace_sign_convention():
+    # the face's flux reads the upstream cell's column; a tie (v = 0) takes K
     mesh = _mesh(2, 1)
-    field = CellField(mesh, np.array([10.0, 20.0]))
-    for vel, expected in ((+1.0, 10.0), (-1.0, 20.0), (0.0, 10.0)):
-        ev = EdgeVelocity(mesh, np.array([vel]))
-        assert upwind_trace(field, ev)[0] == expected
+    m = mesh.edge_measures[0]
+    for vel, column in ((+1.0, 0), (-1.0, 1), (0.0, 0)):
+        conv = convection_matrix(EdgeVelocity(mesh, np.array([vel])), 1.0)
+        np.testing.assert_array_equal(conv.indices, [column, column])
+        np.testing.assert_array_equal(conv.toarray()[:, column],
+                                      [m * vel, -m * vel])
 
 
 def test_dibp_identity_random_fields():
@@ -200,6 +204,18 @@ def test_dibp_mutation_is_detected():
     bad_edge = dibp_edge_form(CellField(bad_mesh, w.values),
                               CellField(bad_mesh, v.values))
     assert abs(row - bad_edge) > 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dibp_gap(CellField(_mesh(2, 2), np.zeros(4)),
+                      CellField(_mesh(2, 2), np.zeros(4))),
+     MeshError, "different meshes"),
+    (lambda: edge_velocity(lambda t, x: np.zeros_like(x), _mesh(), 0.5, 0.5),
+     ValueError, "empty time interval"),
+])
+def test_malformed_operator_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # Poincare oracle, 2-cell unit square: the single edge has m_sigma = 1 and

@@ -340,6 +340,26 @@ def test_injection_requires_nesting():
         injection_map(a, b)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_tensor_mesh(UNIT_SQUARE, (2, 2, 2)),
+     "cell_counts and domain dimensions differ"),
+    (lambda: build_tensor_mesh(((0.0, 1.0), (0.5, 0.5)), (2, 2)),
+     "empty extent on axis 1"),
+    (lambda: build_tensor_mesh(UNIT_SQUARE, (2, 2),
+                               spacings=[[0.5, 0.5], [1.0]]),
+     "axis 1: expected 2 spacings"),
+    (lambda: injection_map(build_tensor_mesh(UNIT_SQUARE, (2, 2)),
+                           build_tensor_mesh(UNIT_CUBE, (2, 2, 2))),
+     "different dimensions"),
+    (lambda: injection_map(build_tensor_mesh(UNIT_SQUARE, (2, 2)),
+                           build_tensor_mesh(((0.0, 2.0), (0.0, 1.0)), (4, 4))),
+     "different boxes"),
+])
+def test_malformed_mesh_input_raises(call, message):
+    with pytest.raises(MeshError, match=message):
+        call()
+
+
 def test_injection_map_pattern():
     coarse = build_tensor_mesh(UNIT_SQUARE, (2, 1))
     fine = refine(coarse)                     # 4 x 2 cells

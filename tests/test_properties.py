@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fvsde.discrete_ops as ops
 import fvsde.noise as noise
@@ -27,6 +28,26 @@ def _break_dibp(monkeypatch):
 
 def test_dibp_check_fails_on_non_conservative_row_form(monkeypatch):
     _break_dibp(monkeypatch)
+    with pytest.raises(AssertionError, match="DIBP gap"):
+        properties._check_dibp(np.random.default_rng(0))
+
+
+class _RolledTpfa(TpfaOperator):
+    """Each face carries its neighbour's transmissibility: still symmetric,
+    with the constants in its kernel, but no longer the TPFA operator."""
+
+    def __init__(self, mesh):
+        super().__init__(mesh)
+        t = np.roll(mesh.transmissibilities, 1)
+        k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+        self.stiffness = sp.csr_matrix(
+            (np.concatenate([t, t, -t, -t]),
+             (np.concatenate([k, l, k, l]), np.concatenate([k, l, l, k]))),
+            shape=(mesh.n_cells, mesh.n_cells))
+
+
+def test_dibp_check_fails_on_the_wrong_stiffness(monkeypatch):
+    monkeypatch.setattr(ops, "TpfaOperator", _RolledTpfa)
     with pytest.raises(AssertionError, match="DIBP gap"):
         properties._check_dibp(np.random.default_rng(0))
 

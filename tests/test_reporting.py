@@ -12,7 +12,7 @@ def test_svg_plot_is_deterministic():
     assert "slope" in a
 
 
-def test_solver_failure_exit_code(monkeypatch, capsys):
+def test_solver_failure_exit_code(monkeypatch, capsys, tmp_path):
     from fvsde import cli
     from fvsde.errors import StepFailure
 
@@ -21,6 +21,7 @@ def test_solver_failure_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_rate_study", boom)
     code = main(["temporal", "--mesh", "4x4", "--steps", "2,4",
-                 "--ref-steps", "8", "--paths", "2"])
+                 "--ref-steps", "8", "--paths", "2",
+                 "--out", str(tmp_path / "out")])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
