@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import MeshError, SolverError
 from .fields import CellField
-from .mesh import TensorMesh, cell_average, gauss_rule, QUADRATURE_ORDER
+from .mesh import TensorMesh, box_rule, cell_average, gauss_rule
 
 __all__ = [
     "EdgeVelocity",
@@ -99,13 +99,12 @@ def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
                   t_end: float) -> EdgeVelocity:
     """Average of v . n_{K,sigma} over each interior face and (t_start, t_end].
 
-    Tensor Gauss quadrature: QUADRATURE_ORDER points per tangential axis and
-    2 points in time.  The approximation error is quadrature limited, not
-    modeled.
+    Tensor Gauss quadrature: `mesh.box_rule` over each face's tangential
+    axes and 2 points in time.  The approximation error is quadrature
+    limited, not modeled.
     """
     if not t_end > t_start:
         raise ValueError("empty time interval")
-    gx, gw = gauss_rule(QUADRATURE_ORDER)
     tx, tw = gauss_rule(2)
     times = t_start + (t_end - t_start) * tx
     out = np.zeros(mesh.n_interior_edges)
@@ -114,19 +113,13 @@ def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
         idx = np.where(mesh.edge_axis == a)[0]
         if idx.size == 0:
             continue
-        tang = [b for b in range(d) if b != a]
-        # a face spans its L cell's box on every tangential axis
+        # a face is its L cell's box with the normal coordinate on the face
         cells = mesh.edge_cells[idx, 1]
-        lo = mesh.cell_lower[cells]
-        ext = mesh.cell_upper[cells] - lo
+        lower = mesh.cell_lower[cells]
+        lower[:, a] = mesh.edge_planes[idx]
         acc = np.zeros(idx.size)
-        for combo in np.ndindex(*([QUADRATURE_ORDER] * len(tang))):
-            pts = np.empty((idx.size, d))
-            pts[:, a] = mesh.edge_planes[idx]
-            w_sp = 1.0
-            for t_axis, c in zip(tang, combo):
-                pts[:, t_axis] = lo[:, t_axis] + ext[:, t_axis] * gx[c]
-                w_sp *= gw[c]
+        for w_sp, pts in box_rule(lower, mesh.cell_upper[cells],
+                                  [b for b in range(d) if b != a]):
             for ti, t in enumerate(times):
                 v = np.asarray(velocity(float(t), pts), dtype=float)
                 acc += w_sp * tw[ti] * v[:, a]

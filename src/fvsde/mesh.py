@@ -34,6 +34,7 @@ __all__ = [
     "build_tensor_mesh",
     "refine",
     "cell_average",
+    "box_rule",
     "validate_admissibility",
     "injection_map",
     "inject",
@@ -362,6 +363,19 @@ def validate_admissibility(mesh: TensorMesh) -> AdmissibilityReport:
     return AdmissibilityReport(v)
 
 
+def box_rule(lower: np.ndarray, upper: np.ndarray, axes: list[int]):
+    """Yield the (weight, points) pairs of the tensor Gauss rule with
+    QUADRATURE_ORDER points per axis in `axes`, over the boxes with (n, d)
+    corners `lower` and `upper`, one box a row; the weights are those of
+    [0, 1]^len(axes), and the coordinates off `axes` stay at `lower`."""
+    gx, gw = gauss_rule(QUADRATURE_ORDER)
+    widths = upper[:, axes] - lower[:, axes]
+    for combo in np.ndindex(*([QUADRATURE_ORDER] * len(axes))):
+        points = lower.copy()
+        points[:, axes] = lower[:, axes] + widths * gx[list(combo)]
+        yield math.prod(gw[c] for c in combo), points
+
+
 def cell_average(fn: Callable[[np.ndarray], np.ndarray],
                  mesh: TensorMesh) -> CellField:
     """Per-cell mean of a scalar function, u_K = (1/m_K) int_K u.
@@ -369,12 +383,9 @@ def cell_average(fn: Callable[[np.ndarray], np.ndarray],
     Tensor Gauss quadrature with QUADRATURE_ORDER points per axis; exact for
     polynomials of degree 2*QUADRATURE_ORDER - 1 per axis.
     """
-    gx, gw = gauss_rule(QUADRATURE_ORDER)
-    widths = mesh.cell_upper - mesh.cell_lower
     acc = np.zeros(mesh.n_cells)
-    for combo in np.ndindex(*([QUADRATURE_ORDER] * mesh.dimension)):
-        x = mesh.cell_lower + widths * gx[list(combo)]
-        w = math.prod(gw[c] for c in combo)
+    for w, x in box_rule(mesh.cell_lower, mesh.cell_upper,
+                         list(range(mesh.dimension))):
         acc += w * np.asarray(fn(x), dtype=float)
     return CellField(mesh, acc)
 

@@ -83,7 +83,6 @@ def heat_preset(dimension: int = 2) -> ProblemSpec:
         beta=_zero, beta_prime=_zero,
         g=_zero,
         velocity=None,
-        affine=True,
         exact_solution=closed_form_heat_reference,
     )
 
@@ -112,8 +111,6 @@ def stochastic_preset() -> ProblemSpec:
         beta=_beta_linear, beta_prime=_beta_linear_prime,
         g=_g_multiplicative,
         velocity=stream_velocity,
-        lipschitz_beta=0.2,
-        affine=True,
     )
 
 
@@ -152,11 +149,11 @@ PRESETS: dict[str, Callable[[], ProblemSpec]] = {
     # g identically 0.5, beta = 0: the mass of u_h is an exact martingale
     "additive": lambda: replace(
         stochastic_preset(), name="additive", beta=_zero, beta_prime=_zero,
-        g=_g_const_half, lipschitz_beta=0.0),
+        g=_g_const_half),
     # deterministic upwind convection-diffusion (g = 0, beta = 0, f = id)
     "convection": lambda: replace(
         stochastic_preset(), name="convection", beta=_zero, beta_prime=_zero,
-        g=_zero, lipschitz_beta=0.0),
+        g=_zero),
     # Only the first Neumann mode, u0 = 1 + 0.5 cos(pi x1).  Its slow decay
     # rate pi^2 keeps squared time increments of the discrete gradient
     # noise-dominated (hence linear in |t - s|) at step sizes a fine
@@ -171,7 +168,7 @@ PRESETS: dict[str, Callable[[], ProblemSpec]] = {
     "nonlinear": lambda: replace(
         stochastic_preset(), name="nonlinear", f=_f_tanh,
         f_prime=_f_tanh_prime, beta=_beta_sin, beta_prime=_beta_sin_prime,
-        g=_g_sin, lipschitz_beta=0.3, affine=False),
+        g=_g_sin),
 }
 
 

@@ -15,17 +15,18 @@ StepWorkspace.advance takes one step of one path.  The Jacobian J is one
 formula: the sum of three summands with fixed entries (the diagonal
 m (1 - tau beta'(u)), the two-point flux stiffness tau A and the upwind
 convection scaled by f'(u) of each entry's column); only their values depend
-on the state.  Which solver runs is decided once per workspace.  For affine
-f and beta (the rate-study presets) J is constant and factorized once by
-SuperLU, and the step solves J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly:
-Newton's first iterate from u^{n-1}.  The true residual (with f, beta, g) is
-then checked, and Newton continues on the same factorization while it is
-above tolerance.  Other coefficients run Newton with the three summands
-added at every iterate straight into band storage and factorized by
-LAPACK's banded LU with partial pivoting (dgbtrf/dgbtrs), whose cost is
-O(n b^2) for half-bandwidth b.  Every solve has one right-hand side: with
-several, the BLAS kernels behind SuperLU can change a column's bits with the
-number of columns.
+on the state.  Which solver runs is decided once per workspace, from the
+regime ProblemSpec derives from its coefficients.  For affine f and beta
+(the rate-study presets) J is constant and factorized once by SuperLU, and
+the step solves J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly: Newton's
+first iterate.  The true residual (with f, beta, g) is then checked, and
+Newton continues on the same factorization while it is above tolerance, as
+for a coefficient that is affine on the samples only.  Other coefficients
+run Newton with the three summands added at every iterate straight into
+band storage and factorized by LAPACK's banded LU with partial pivoting
+(dgbtrf/dgbtrs), whose cost is O(n b^2) for half-bandwidth b.  Every solve
+has one right-hand side: with several, the BLAS kernels behind SuperLU can
+change a column's bits with the number of columns.
 
 The velocity is time-independent: one workspace per (mesh, tau) holds its
 edge average, evaluated once on (0, tau], and integrate_workspace steps
@@ -35,7 +36,7 @@ every path through it in one loop.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,13 +72,15 @@ STABILITY_MARGIN = 0.5
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Data tuple (u0, f, beta, g, v, T) plus the Lipschitz bound of beta.
+    """Data tuple (u0, f, beta, g, v, T) and the regime it puts the scheme in.
 
-    All scalar coefficient functions are vectorized over numpy arrays.
-    `velocity(t, x)` maps (n, d) points to (n, d) velocities; it is assumed
-    time-independent, divergence-free, with zero normal trace on the boundary.
-    `lipschitz_beta` is checked against tau for the StabilityWarning.
-    `affine` says f and beta are affine, so the Jacobian is constant.
+    Coefficients are vectorized over numpy arrays; `velocity(t, x)` maps
+    (n, d) points to (n, d) time-independent, divergence-free velocities,
+    tangential on the boundary.  The regime is derived on _MONOTONE_SAMPLES
+    and re-derived by `replace`: `affine` (f', beta' constant, so J is
+    constant), `lipschitz_beta` (max |beta'|, for the StabilityWarning) and
+    `noise_factorizes` (affine with g(u) = g(1) u: a path is the noise-free
+    one times prod(1 + g(1) dW_k)).
     """
 
     name: str
@@ -90,19 +93,24 @@ class ProblemSpec:
     beta_prime: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[float, np.ndarray], np.ndarray] | None = None
-    lipschitz_beta: float = 0.0
-    affine: bool = False
     exact_solution: Callable[[np.ndarray, float], np.ndarray] | None = None
+    affine: bool = field(init=False)
+    lipschitz_beta: float = field(init=False)
+    noise_factorizes: bool = field(init=False)
 
     def __post_init__(self):
-        zero = np.zeros(1)
-        if abs(float(self.f(zero)[0])) > 1e-12:
-            raise ValueError(f"{self.name}: f(0) must vanish")
-        if abs(float(self.beta(zero)[0])) > 1e-12:
-            raise ValueError(f"{self.name}: beta(0) must vanish")
-        fs = np.asarray(self.f(_MONOTONE_SAMPLES), dtype=float)
-        if np.any(np.diff(fs) < -1e-12):
+        for name, fn in (("f", self.f), ("beta", self.beta)):
+            if abs(float(fn(np.zeros(1))[0])) > 1e-12:
+                raise ValueError(f"{self.name}: {name}(0) must vanish")
+        s = _MONOTONE_SAMPLES
+        if np.any(np.diff(np.asarray(self.f(s), dtype=float)) < -1e-12):
             raise ValueError(f"{self.name}: f is not non-decreasing on samples")
+        bp = np.asarray(self.beta_prime(s), dtype=float)
+        affine = bool(np.ptp(self.f_prime(s)) == 0.0 and np.ptp(bp) == 0.0)
+        object.__setattr__(self, "affine", affine)
+        object.__setattr__(self, "lipschitz_beta", float(np.max(np.abs(bp))))
+        object.__setattr__(self, "noise_factorizes", affine and np.array_equal(
+            self.g(s), self.g(np.ones(1)) * s))
 
 
 @dataclass(frozen=True)
@@ -141,13 +149,12 @@ class StepWorkspace:
     convection matrix (`discrete_ops.convection_matrix`, or None without
     convection), which the residual and the Jacobian share, and the row and
     column of every stored entry of the Jacobian's summands.  Building it
-    warns when tau * L_beta exceeds STABILITY_MARGIN and picks the solver:
-    for affine f and beta one reusable SuperLU factorization of the constant
-    Jacobian (`lu`); otherwise `lu` is None and each Newton iteration adds
-    the summands' values at fixed positions into LAPACK band storage and
-    factorizes them as a banded LU, with no sparse-matrix construction.
-    Monte Carlo drivers build a workspace per level once and push many paths
-    through it.
+    warns when tau * problem.lipschitz_beta exceeds STABILITY_MARGIN and
+    picks the solver from problem.affine: one reusable SuperLU factorization
+    of the constant Jacobian (`lu`), or, with `lu` None, a banded LU of the
+    summands' values added at fixed positions into LAPACK band storage at
+    every Newton iteration, with no sparse-matrix construction.  Monte Carlo
+    drivers build a workspace per level once and push many paths through it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,

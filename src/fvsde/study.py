@@ -26,8 +26,8 @@ from .mesh import (TensorMesh, build_tensor_mesh, cell_average, injection_map,
                    refine)
 from .noise import MAX_FINE_STEPS, TimeGrid, coarsen, sample_path
 from .presets import get_preset
-from .scheme import (_MONOTONE_SAMPLES, STABILITY_MARGIN, StepperParams,
-                     build_workspace, integrate_workspace)
+from .scheme import (STABILITY_MARGIN, StepperParams, build_workspace,
+                     integrate_workspace)
 from .stats import fit_rate, mc_mean_ci
 
 __all__ = [
@@ -236,15 +236,6 @@ def _inconclusive(rows: list[RateRow]) -> bool:
     return False
 
 
-def _noise_factorizes(problem) -> bool:
-    """Affine f and beta with g(u) = g(1) u.  Each path is then the
-    noise-free path times prod(1 + g(1) dW_k), so a rate measured on such a
-    preset is that of the scalar noise factor, not of a non-linear step."""
-    s = _MONOTONE_SAMPLES
-    return problem.affine and np.array_equal(problem.g(s),
-                                             problem.g(np.ones(1)) * s)
-
-
 def _base_metadata(config: StudyConfig, problem, extra: dict) -> dict:
     return {
         "preset": config.preset,
@@ -252,7 +243,7 @@ def _base_metadata(config: StudyConfig, problem, extra: dict) -> dict:
         "paths": config.paths,
         "mesh": list(config.mesh),
         "horizon": problem.horizon,
-        "noise_factorizes": _noise_factorizes(problem),
+        "noise_factorizes": problem.noise_factorizes,
         "newton_tol": StepperParams().newton_tol,
         "tau_lbeta_margin": STABILITY_MARGIN,
         "commit": os.environ.get("FVSDE_COMMIT", "unknown"),

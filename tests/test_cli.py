@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import fvsde
 from fvsde.cli import main, parse_config
-from fvsde.errors import ConfigError
+from fvsde.errors import ConfigError, CouplingError
 from fvsde.presets import PRESETS
 from fvsde.study import STUDIES
 
@@ -130,6 +131,26 @@ def test_failing_property_suite_exits_1(tmp_path, monkeypatch):
     assert code == 1
     text = (tmp_path / "properties.txt").read_text()
     assert "FAIL  dibp_identity" in text
+
+
+def test_package_error_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
+    from fvsde import cli
+
+    def broken_coupling(config):
+        raise CouplingError("path horizon differs from grid horizon")
+
+    monkeypatch.setattr(cli, "run_rate_study", broken_coupling)
+    assert main(["temporal", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: path horizon differs from grid horizon\n"
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fvsde", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fvsde", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{fvsde.__version__}\n"
 
 
 def test_mesh_info_writes_json(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 
 from fvsde.errors import MeshError
 from fvsde.fields import CellField
-from fvsde.mesh import (build_tensor_mesh, cell_average, inject, injection_map,
-                        refine, validate_admissibility)
+from fvsde.mesh import (box_rule, build_tensor_mesh, cell_average, inject,
+                        injection_map, refine, validate_admissibility)
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 UNIT_CUBE = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -305,6 +305,21 @@ def test_cell_average_exact_for_degree_five():
     # oracle: int x^5 / h over [a, b] = (b^6 - a^6) / (6 (b - a))
     expected = [(0.5**6) / (6 * 0.5)] * 2 + [(1.0 - 0.5**6) / (6 * 0.5)] * 2
     np.testing.assert_allclose(field.values, expected, rtol=1e-14)
+
+
+def test_box_rule_integrates_over_the_given_axes_only():
+    # two 3-D boxes, integrated over axes 0 and 2; axis 1 stays at `lower`
+    lower = np.array([[0.0, 0.3, 1.0], [0.5, -2.0, 0.0]])
+    upper = np.array([[1.0, 0.9, 3.0], [2.0, 7.0, 0.5]])
+    acc = np.zeros(2)
+    for w, x in box_rule(lower, upper, [0, 2]):
+        assert np.array_equal(x[:, 1], lower[:, 1])
+        acc += w * x[:, 0] ** 5 * x[:, 2] ** 4
+    # the mean of x0^5 x2^4 over [a, c] x [b, d], axis by axis
+    expected = [(c**6 - a**6) / (6 * (c - a)) * (d**5 - b**5) / (5 * (d - b))
+                for a, c, b, d in zip(lower[:, 0], upper[:, 0],
+                                      lower[:, 2], upper[:, 2])]
+    np.testing.assert_allclose(acc, expected, rtol=1e-14)
 
 
 def test_refine_counts_and_nesting():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pathlib
@@ -51,3 +52,15 @@ def test_every_export_is_read_outside_the_tests(name):
         if not any(re.search(word, text) for text in [body] + others):
             unread.append(export)
     assert not unread, f"fvsde.{name}.__all__ names only tests read: {unread}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_private_name_of_another(name):
+    # dunders such as __version__ are public by convention
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("fvsde"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private, f"fvsde.{name} imports private names {private}"

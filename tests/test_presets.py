@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fvsde.presets import PRESETS, get_preset
+from fvsde.scheme import ProblemSpec
 
 SQUARE = ((0.0, 1.0), (0.0, 1.0))
 CUBE = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -35,11 +37,11 @@ ZERO = (lambda u: np.zeros_like(u))
 LINEAR_F = (lambda u: u, lambda u: np.ones_like(u))
 HEAT = dict(horizon=0.1, u0=_cos_product, f=LINEAR_F, beta=(ZERO, ZERO),
             g=ZERO, velocity=None, linear=True, lipschitz_beta=0.0,
-            exact=True)
+            noise_factorizes=True, exact=True)
 NOISY = dict(horizon=0.25, u0=_lifted, f=LINEAR_F,
              beta=(lambda u: 0.2 * u, lambda u: np.full_like(u, 0.2)),
              g=lambda u: 0.5 * u, velocity=_stream, linear=True,
-             lipschitz_beta=0.2, exact=False)
+             lipschitz_beta=0.2, noise_factorizes=True, exact=False)
 
 EXPECTED = {
     "heat2d": dict(HEAT, domain=SQUARE),
@@ -47,7 +49,8 @@ EXPECTED = {
     "diffusion": dict(HEAT, domain=SQUARE),
     "stochastic": dict(NOISY, domain=SQUARE),
     "additive": dict(NOISY, domain=SQUARE, beta=(ZERO, ZERO),
-                     g=lambda u: np.full_like(u, 0.5), lipschitz_beta=0.0),
+                     g=lambda u: np.full_like(u, 0.5), lipschitz_beta=0.0,
+                     noise_factorizes=False),
     "convection": dict(NOISY, domain=SQUARE, beta=(ZERO, ZERO), g=ZERO,
                        lipschitz_beta=0.0),
     "lowmode": dict(NOISY, domain=SQUARE, u0=_first_mode),
@@ -55,7 +58,8 @@ EXPECTED = {
         NOISY, domain=SQUARE,
         f=(np.tanh, lambda u: 1.0 / np.cosh(u) ** 2),
         beta=(lambda u: 0.3 * np.sin(u), lambda u: 0.3 * np.cos(u)),
-        g=lambda u: 0.5 * np.sin(u), linear=False, lipschitz_beta=0.3),
+        g=lambda u: 0.5 * np.sin(u), linear=False, lipschitz_beta=0.3,
+        noise_factorizes=False),
 }
 
 
@@ -71,6 +75,7 @@ def test_preset_matches_written_out_formulas(name):
     assert spec.horizon == want["horizon"]
     assert spec.affine is want["linear"]
     assert spec.lipschitz_beta == want["lipschitz_beta"]
+    assert spec.noise_factorizes is want["noise_factorizes"]
     x = X2 if len(spec.domain) == 2 else X3
     assert np.array_equal(spec.u0(x), want["u0"](x))
     for got, ref in ((spec.f, want["f"][0]), (spec.f_prime, want["f"][1]),
@@ -87,3 +92,30 @@ def test_preset_matches_written_out_formulas(name):
                               math.exp(-d * math.pi**2 * 0.05) * _cos_product(x))
     else:
         assert spec.exact_solution is None
+
+
+def test_replace_rederives_a_non_affine_regime():
+    spec = dataclasses.replace(get_preset("stochastic"), f=np.tanh,
+                               f_prime=lambda u: 1.0 / np.cosh(u) ** 2)
+    assert spec.affine is False
+    assert spec.noise_factorizes is False
+
+
+def test_replace_rederives_an_affine_regime():
+    spec = dataclasses.replace(
+        get_preset("nonlinear"), f=lambda u: u,
+        f_prime=lambda u: np.ones_like(u),
+        beta=lambda u: 0.2 * u, beta_prime=lambda u: np.full_like(u, 0.2),
+        g=lambda u: 0.5 * u)
+    assert spec.affine is True
+    assert spec.lipschitz_beta == 0.2
+    assert spec.noise_factorizes is True
+
+
+@pytest.mark.parametrize("keyword", ["affine", "lipschitz_beta",
+                                     "noise_factorizes"])
+def test_the_regime_is_not_an_init_parameter(keyword):
+    fields = {f.name: getattr(get_preset("stochastic"), f.name)
+              for f in dataclasses.fields(ProblemSpec) if f.init}
+    with pytest.raises(TypeError, match=keyword):
+        ProblemSpec(**fields, **{keyword: True})

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import fvsde.projections as projections
 from fvsde.discrete_ops import (discrete_h1_seminorm,
                                 l2_error_vs_function, mass)
-from fvsde.errors import CompatibilityWarning, ConfigError
+from fvsde.errors import CompatibilityWarning, ConfigError, SolverError
 from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, cell_average, refine
 from fvsde.projections import (SmoothFunctionSpec, centered_projection,
@@ -179,3 +180,13 @@ def test_report_third_column_roundoff_for_coinciding_case():
     hat = centered_projection(spec.fn, mesh)
     gap = discrete_h1_seminorm(CellField(mesh, hat.values - tilde.values))
     assert gap < 1e-8
+
+
+def test_projection_that_misses_the_flux_balance_is_a_solver_error(
+        monkeypatch):
+    solver = projections.grounded_solver
+    monkeypatch.setattr(projections, "grounded_solver",
+                        lambda op: lambda b: 1.001 * solver(op)(b))
+    mesh = build_tensor_mesh(UNIT_SQUARE, (8, 8))
+    with pytest.raises(SolverError, match="^projection residual .* exceeds"):
+        elliptic_projection(_cos_cos_spec(), mesh)

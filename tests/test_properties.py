@@ -1,15 +1,21 @@
 """The property suite's hard gates fail when their subject is broken."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import fvsde.discrete_ops as ops
+import fvsde.mesh as mesh_mod
 import fvsde.noise as noise
 import fvsde.scheme as scheme
 from fvsde import properties
 from fvsde.cli import main
 from fvsde.discrete_ops import TpfaOperator
+from fvsde.fields import CellField
+from fvsde.study import default_config
 
 
 def _one_sided_row_form(w, v):
@@ -117,3 +123,142 @@ def test_suite_reports_exactly_the_broken_check_and_exits_1(
     assert failed[1:] == ["FAIL  overall"]
     assert len(lines) == len(failed) + 13
     assert all(line.startswith(("PASS  ", "FAIL  ")) for line in lines)
+
+
+def _perturbed_tpfa(perturb):
+    """The TPFA operator with `perturb` applied to its stiffness."""
+    class Perturbed(TpfaOperator):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            self.stiffness = sp.csr_matrix(perturb(self.stiffness))
+    return Perturbed
+
+
+_CONVECTION = ops.convection_matrix
+_POINCARE = ops.poincare_constant_estimate
+_PROJECT = properties.elliptic_projection
+_CENTER = properties.centered_projection
+_RUN_PATH = properties.run_path
+_BUILD = properties.build_tensor_mesh
+
+
+def _leaky_convection(edge_vel, tau):
+    # the first face's flux leaves K but never reaches L
+    mesh = edge_vel.mesh
+    n = mesh.n_cells
+    flux = tau * mesh.edge_measures[0] * edge_vel.values[0]
+    up = ops.upwind_cells(edge_vel)[0]
+    return _CONVECTION(edge_vel, tau) + sp.csr_matrix(
+        ([flux], ([mesh.edge_cells[0, 1]], [up])), shape=(n, n))
+
+
+def _offset(project, offset):
+    # a constant shift leaves every flux, hence the residual, unchanged, but
+    # makes the projection affine instead of linear
+    def shifted(*args):
+        field = project(*args)
+        return CellField(field.mesh, field.values + offset)
+    return shifted
+
+
+def _drifting_run_path():
+    calls = itertools.count()
+
+    def run(problem, mesh, grid, path, params=None):
+        traj = _RUN_PATH(problem, mesh, grid, path, params)
+        traj.states[-1] += 1e-9 * next(calls)
+        return traj
+    return run
+
+
+def _rolling_inject():
+    # equal fine cells: a rolled parent map keeps the norm, not the values
+    calls = itertools.count()
+    return lambda field, fine: CellField(fine, field.values[np.roll(
+        mesh_mod.injection_map(field.mesh, fine), next(calls))])
+
+
+def _step_count_scaled_run_path(problem, mesh, grid, path, params=None):
+    traj = _RUN_PATH(problem, mesh, grid, path, params)
+    traj.states *= grid.n_steps
+    return traj
+
+
+def _mismeasured_mesh(*args, **kwargs):
+    mesh = _BUILD(*args, **kwargs)
+    return dataclasses.replace(mesh, edge_distances=1.1 * mesh.edge_distances)
+
+
+def _x_only_refine(mesh):
+    # halves the first axis only, so the cells stretch level by level
+    return _BUILD(tuple(zip(mesh.lower, mesh.upper)),
+                  (2 * mesh.cell_counts[0],) + mesh.cell_counts[1:])
+
+
+def _case(check, module, attribute, broken, message, case_id):
+    return pytest.param(check, module, attribute, broken, message, id=case_id)
+
+
+# (check, module, attribute, broken replacement, message prefix); each
+# replacement is built per case so that its counters start afresh
+BROKEN_SUBJECTS = [
+    _case("tpfa_self_adjoint_negative_kernel", properties, "TpfaOperator",
+          lambda: _perturbed_tpfa(
+              lambda a: a + 1e-3 * sp.eye(a.shape[0], k=1)),
+          "weighted self-adjointness defect", "non_symmetric_stiffness"),
+    _case("tpfa_self_adjoint_negative_kernel", properties, "TpfaOperator",
+          lambda: _perturbed_tpfa(lambda a: -a),
+          "operator is not negative semidefinite", "negated_stiffness"),
+    _case("tpfa_self_adjoint_negative_kernel", properties, "TpfaOperator",
+          lambda: _perturbed_tpfa(lambda a: a + 1e-3 * sp.eye(a.shape[0])),
+          "constants are not in the kernel", "shifted_stiffness"),
+    # random zero-mean vectors sit far below the extremal Rayleigh quotient,
+    # so the gate needs a constant well below C_p, not a factor 2
+    _case("discrete_poincare", ops, "poincare_constant_estimate",
+          lambda: lambda mesh: 0.01 * _POINCARE(mesh), "Poincare violated",
+          "small_poincare_constant"),
+    _case("upwind_flux_telescoping", ops, "convection_matrix",
+          lambda: _leaky_convection, "upwind flux sum", "leaky_face"),
+    _case("elliptic_projection_contract", properties, "elliptic_projection",
+          lambda: lambda spec, mesh: CellField(
+              mesh, _PROJECT(spec, mesh).values * 1.001),
+          "projection residual", "scaled_projection"),
+    _case("elliptic_projection_contract", properties, "elliptic_projection",
+          lambda: _offset(_PROJECT, 1e-6), "projection linearity defect",
+          "affine_projection"),
+    _case("elliptic_projection_contract", properties, "centered_projection",
+          lambda: _offset(_CENTER, 1e-6), "centered projection is not linear",
+          "affine_centered_projection"),
+    _case("coupling_zero_error", properties, "run_path", _drifting_run_path,
+          "identical runs differ", "drifting_runs"),
+    _case("coupling_zero_error", properties, "coarsen",
+          lambda: lambda path, n: noise.coarsen(path, n)[::-1].copy(),
+          "identity coarsening is not exact", "reversed_coarsening"),
+    _case("nested_injection_zero", properties, "inject",
+          lambda: lambda field, fine: CellField(
+              fine, mesh_mod.inject(field, fine).values + 1e-3),
+          "injection changed the norm", "shifted_injection"),
+    _case("nested_injection_zero", properties, "inject", _rolling_inject,
+          "injection is not deterministic", "rolling_injection"),
+    _case("moment_boundedness", properties, "run_path",
+          lambda: _step_count_scaled_run_path, "sup_n E||u||^2 moved",
+          "step_count_scaled_states"),
+    _case("mesh_admissibility_and_regularity", properties,
+          "build_tensor_mesh", lambda: _mismeasured_mesh,
+          "distance: edge 0 stores d_KL=", "mismeasured_distances"),
+    _case("mesh_admissibility_and_regularity", properties, "refine",
+          lambda: _x_only_refine, "reg(T) drifts across levels",
+          "one_axis_refinement"),
+]
+
+
+@pytest.mark.parametrize("check, module, attribute, broken, message",
+                         BROKEN_SUBJECTS)
+def test_suite_reports_each_broken_subject(check, module, attribute, broken,
+                                           message, monkeypatch):
+    monkeypatch.setattr(module, attribute, broken())
+    report = properties.run_property_suite(default_config("properties"))
+    (result,) = [c for c in report.checks if c.name == check]
+    assert not result.passed
+    assert result.detail.startswith(f"AssertionError: {message}"), \
+        result.detail

@@ -34,7 +34,7 @@ def _zero(u):
 
 
 def _custom(name, u0_const, beta=None, beta_prime=None, g=None, horizon=0.2,
-            lipschitz_beta=0.0, f=None, f_prime=None, **kw):
+            f=None, f_prime=None, **kw):
     return ProblemSpec(
         name=name,
         domain=UNIT_SQUARE,
@@ -44,8 +44,6 @@ def _custom(name, u0_const, beta=None, beta_prime=None, g=None, horizon=0.2,
         beta=beta or _zero, beta_prime=beta_prime or _zero,
         g=g or _zero,
         velocity=None,
-        lipschitz_beta=lipschitz_beta,
-        affine=True,
         **kw)
 
 
@@ -111,7 +109,7 @@ def test_scalar_implicit_euler_closed_form():
     # beta(u) = u, f = 0, g = 0, constant state: one step solves
     # u1 = c / (1 - tau) exactly (per-cell scalar implicit Euler)
     problem = _custom("reaction", 2.0, beta=_identity, beta_prime=_one,
-                      f=_zero, f_prime=_zero, horizon=0.2, lipschitz_beta=1.0)
+                      f=_zero, f_prime=_zero, horizon=0.2)
     mesh = build_tensor_mesh(UNIT_SQUARE, (3, 3))
     grid = TimeGrid(1, 0.2)
     path = NoisePath(0.2, 1, np.zeros(1), 0, 0)
@@ -207,21 +205,33 @@ def test_banded_solve_equals_sparse_direct_solve(problem, cells, spacings):
 
 
 def test_singular_newton_jacobian_is_a_solver_error():
-    # beta(u) = 4u flagged non-linear with tau = 1/4 leaves J = tau A, whose
-    # kernel holds the constants.  On two cells the elimination is exact and
-    # meets a zero pivot; on 2x2 rounding leaves a tiny one and Newton stalls.
-    problem = dataclasses.replace(
-        _custom("singular", 1.0, beta=lambda u: 4.0 * np.asarray(u),
-                beta_prime=lambda u: np.full_like(u, 4.0), f=np.tanh,
-                f_prime=lambda u: 1.0 - np.tanh(u)**2, horizon=0.25,
-                lipschitz_beta=4.0),
-        affine=False)
+    # beta(u) = 4u (L_beta = 4) beside a non-linear f, with tau = 1/4, leaves
+    # J = tau A at u = 0, whose kernel holds the constants.  On two cells the
+    # elimination is exact and meets a zero pivot; on 2x2 rounding leaves a
+    # tiny one and Newton stalls.
+    problem = _custom("singular", 1.0, beta=lambda u: 4.0 * np.asarray(u),
+                      beta_prime=lambda u: np.full_like(u, 4.0), f=np.tanh,
+                      f_prime=lambda u: 1.0 - np.tanh(u)**2, horizon=0.25)
+    assert not problem.affine and problem.lipschitz_beta == 4.0
     mesh = build_tensor_mesh(UNIT_SQUARE, (2, 1))
     with pytest.warns(StabilityWarning), \
             pytest.raises(SolverError, match="^singular Jacobian$") as exc:
         run_path(problem, mesh, TimeGrid(1, 0.25),
                  NoisePath(0.25, 1, np.zeros(1), 0, 0))
     assert not isinstance(exc.value, StepFailure)
+
+
+def test_singular_affine_jacobian_is_a_solver_error():
+    # the affine twin of the case above: SuperLU meets the exact zero pivot
+    # of J = tau A while factorizing, and its RuntimeError is re-raised
+    problem = _custom("singular_affine", 1.0,
+                      beta=lambda u: 4.0 * np.asarray(u),
+                      beta_prime=lambda u: np.full_like(u, 4.0), horizon=0.25)
+    assert problem.affine
+    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 1))
+    with pytest.warns(StabilityWarning), pytest.raises(
+            SolverError, match="^Jacobian factorization failed: .*singular"):
+        build_workspace(problem, mesh, 0.25)
 
 
 def test_nonlinear_newton_converges():
@@ -348,8 +358,11 @@ def test_step_failure_carries_step_index():
 
 
 def test_non_finite_step_is_a_solver_error():
-    problem = _custom("blowup", 1.0,
-                      g=lambda u: np.full_like(np.asarray(u, dtype=float), np.inf))
+    # deriving noise_factorizes compares g(s) with g(1) s, which is
+    # inf * 0 at s = 0 for this g
+    with np.errstate(invalid="ignore"):
+        problem = _custom("blowup", 1.0, g=lambda u: np.full_like(
+            np.asarray(u, dtype=float), np.inf))
     mesh = build_tensor_mesh(UNIT_SQUARE, (3, 3))
     path = NoisePath(0.2, 1, np.array([0.5]), 0, 0)
     with pytest.raises(SolverError) as info:
@@ -358,14 +371,17 @@ def test_non_finite_step_is_a_solver_error():
 
 
 def test_direct_step_checks_the_true_residual():
-    # flagged affine but f(u) = u + 0.1 tanh(u): the LU of the Jacobian at
-    # zero is only a chord, so some step needs a second iteration, and every
-    # step must still meet the residual contract with the true f
+    # beta(u) = 0.2u + 0.05 max(u - 5, 0)^3 is affine on the sample grid
+    # [-5, 5] but not beyond, and the datum lies above 5: the LU of the
+    # Jacobian at zero is only a chord, so some step needs a second
+    # iteration, and every step must still meet the residual contract with
+    # the true beta
     problem = dataclasses.replace(
         get_preset("stochastic"),
-        f=lambda u: u + 0.1 * np.tanh(u),
-        f_prime=lambda u: 1.0 + 0.1 / np.cosh(u) ** 2)
-    assert problem.affine
+        u0=lambda x: 6.0 + 0.5 * np.prod(np.cos(np.pi * x), axis=-1),
+        beta=lambda u: 0.2 * u + 0.05 * np.maximum(u - 5.0, 0.0) ** 3,
+        beta_prime=lambda u: 0.2 + 0.15 * np.maximum(u - 5.0, 0.0) ** 2)
+    assert problem.affine and problem.lipschitz_beta == 0.2
     mesh = build_tensor_mesh(problem.domain, (8, 8))
     grid = TimeGrid(8, problem.horizon)
     path = sample_path(4, 0, 8, problem.horizon)
@@ -382,7 +398,7 @@ def test_direct_step_checks_the_true_residual():
 
 def test_stability_warning_on_large_tau_lbeta():
     problem = _custom("stiff_reaction", 1.0, beta=_identity, beta_prime=_one,
-                      f=_zero, f_prime=_zero, horizon=0.8, lipschitz_beta=1.0)
+                      f=_zero, f_prime=_zero, horizon=0.8)
     mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
     with pytest.warns(StabilityWarning):
         run_path(problem, mesh, TimeGrid(1, 0.8),
@@ -391,7 +407,7 @@ def test_stability_warning_on_large_tau_lbeta():
 
 def test_build_workspace_warns_on_large_tau_lbeta():
     problem = _custom("stiff_reaction", 1.0, beta=_identity, beta_prime=_one,
-                      f=_zero, f_prime=_zero, horizon=0.8, lipschitz_beta=1.0)
+                      f=_zero, f_prime=_zero, horizon=0.8)
     mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
     with pytest.warns(StabilityWarning, match="tau \\* L_beta = 0.8"):
         build_workspace(problem, mesh, 0.8)
@@ -414,10 +430,8 @@ def test_newton_advance_matches_run_path_step():
     state = CellField(mesh, u)
     grid = TimeGrid(1, 0.01 * 1)
     # same tau, zero noise: one run_path step must agree bitwise
-    horizon_problem = get_preset("diffusion")
-    traj = run_path(
-        ProblemSpec(**{**horizon_problem.__dict__, "horizon": 0.01}),
-        mesh, grid, NoisePath(0.01, 1, np.zeros(1), 0, 0))
+    traj = run_path(dataclasses.replace(problem, horizon=0.01),
+                    mesh, grid, NoisePath(0.01, 1, np.zeros(1), 0, 0))
     assert np.array_equal(traj.states[1], state.values)
     assert iterations <= 2
     assert discrete_l2_norm(state) <= discrete_l2_norm(prev)

@@ -160,6 +160,21 @@ def test_config_validation_errors():
     assert default_config("temporal", seed=2**64 - 1).seed == 2**64 - 1
 
 
+def test_unknown_study_in_a_directly_built_config():
+    config = dataclasses.replace(default_config("temporal"), study="bogus")
+    with pytest.raises(ConfigError, match="unknown study 'bogus'"):
+        config.validate()
+
+
+def test_zero_error_level_cannot_be_fitted():
+    from fvsde.study import RateRow, _report
+
+    rows = [RateRow(0, 0.5, 0.1, 8, 2.0, 0.1),
+            RateRow(1, 0.25, 0.05, 8, 0.0, 0.0)]
+    with pytest.raises(ConfigError, match="error exactly zero"):
+        _report("temporal", rows, "tau", {})
+
+
 def test_spatial_study_needs_closed_form():
     with pytest.raises(ConfigError, match="closed-form"):
         default_config("spatial", preset="stochastic", levels=3)
