@@ -30,6 +30,8 @@ from .mesh import TensorMesh, box_rule, cell_average, gauss_rule
 __all__ = [
     "EdgeVelocity",
     "TpfaOperator",
+    "l2_norm_sq",
+    "h1_seminorm_sq",
     "discrete_l2_norm",
     "mass",
     "discrete_h1_seminorm",
@@ -79,8 +81,20 @@ class TpfaOperator:
         return -(self.stiffness @ values) / self.measures
 
 
+def l2_norm_sq(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
+    """||w_h||_2^2 of each row of a (..., n_cells) array."""
+    return (values * values) @ mesh.measures
+
+
+def h1_seminorm_sq(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
+    """|w_h|_{1,h}^2 of each row of a (..., n_cells) array."""
+    k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    jumps = values[..., k] - values[..., l]
+    return (jumps * jumps) @ mesh.transmissibilities
+
+
 def discrete_l2_norm(field: CellField) -> float:
-    return float(np.sqrt(np.sum(field.mesh.measures * field.values**2)))
+    return float(np.sqrt(l2_norm_sq(field.mesh, field.values)))
 
 
 def mass(field: CellField) -> float:
@@ -89,9 +103,7 @@ def mass(field: CellField) -> float:
 
 
 def discrete_h1_seminorm(field: CellField) -> float:
-    mesh, values = field.mesh, field.values
-    diff = values[mesh.edge_cells[:, 0]] - values[mesh.edge_cells[:, 1]]
-    return float(np.sqrt(np.sum(mesh.transmissibilities * diff**2)))
+    return float(np.sqrt(h1_seminorm_sq(field.mesh, field.values)))
 
 
 def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],

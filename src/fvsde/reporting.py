@@ -67,13 +67,8 @@ def svg_loglog(report: RateReport, title: str) -> str:
     """Minimal log-log line-and-points plot of error vs scale on a 480 x 360
     canvas; no fit line is drawn, so a slope shows only in the title."""
     width, height = 480, 360
-    xs = [row.h if report.scale_name == "h" else row.tau for row in report.rows]
-    if report.scale_name == "dt":
-        ys = [row.err_mean_sq for row in report.rows]
-    else:
-        ys = report.errors
-    lx = [math.log10(x) for x in xs]
-    ly = [math.log10(y) for y in ys]
+    lx = [math.log10(x) for x, _ in report.fit_points]
+    ly = [math.log10(y) for _, y in report.fit_points]
     pad = 50
     x0, x1 = min(lx), max(lx)
     y0, y1 = min(ly), max(ly)

@@ -126,6 +126,14 @@ class StepperParams:
     newton_tol: float = 1e-11
     max_newton_iterations: int = 30
 
+    def __post_init__(self):
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError(f"newton_tol must be finite and positive, got "
+                             f"{self.newton_tol!r}")
+        if not self.max_newton_iterations >= 0:
+            raise ValueError(f"max_newton_iterations must be >= 0, got "
+                             f"{self.max_newton_iterations!r}")
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -183,7 +191,6 @@ class StepWorkspace:
                 self.lu = splu(self.jacobian(np.zeros(n)).tocsc())
             except RuntimeError as exc:
                 raise SolverError(f"Jacobian factorization failed: {exc}") from exc
-            self._solve = self._lu_solve
         else:
             # Entry (i, j) goes to row 2b + i - j, column j of the
             # (3b + 1, n) band array; dgbtrf fills the top b rows.  The
@@ -195,7 +202,6 @@ class StepWorkspace:
                                       for i, j in entries)
             self._band_pos = [j * (3 * b + 1) + 2 * b + i - j
                               for i, j in entries]
-            self._solve = self._band_solve
 
     def residual(self, candidate: np.ndarray, previous: np.ndarray,
                  d_w: float) -> np.ndarray:
@@ -236,9 +242,12 @@ class StepWorkspace:
                                                    self._entries))
         return sum(rest, first)
 
-    def _lu_solve(self, candidate: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve the constant J x = rhs on its SuperLU factorization."""
-        return self.lu.solve(rhs)
+    def _solve(self, candidate: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve J(candidate) x = rhs: on the SuperLU factorization of the
+        constant Jacobian, or by a banded LU of the one at the candidate."""
+        if self.lu is not None:
+            return self.lu.solve(rhs)
+        return self._band_solve(candidate, rhs)
 
     def _band_solve(self, candidate: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray:
@@ -263,7 +272,7 @@ class StepWorkspace:
         true residual decides whether Newton continues.  Raises StepFailure
         when the tolerance is missed within the iteration budget.
         """
-        scale = max(1.0, float(np.sqrt(np.sum(self.m * previous**2))))
+        scale = max(1.0, float(np.sqrt(ops.l2_norm_sq(self.mesh, previous))))
         tol = params.newton_tol * scale
         max_it = params.max_newton_iterations
         rhs = self._explicit(previous, d_w)
@@ -283,7 +292,6 @@ class StepWorkspace:
                     f"Newton stalled at residual {rnorm:.3e} after {max_it} "
                     f"iterations", residual=rnorm)
             u = u + self._solve(u, -r)
-        raise AssertionError("unreachable")
 
 
 def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
@@ -387,13 +395,9 @@ def energy_balance_defects(traj: Trajectory) -> np.ndarray:
     with equality for pure diffusion (upwinding only adds dissipation).
     Returns the per-step excess; values <= tolerance certify the inequality.
     """
-    mesh = traj.mesh
-    m = mesh.measures
-    tau = traj.grid.tau
-    norms_sq = (traj.states**2) @ m
-    jumps_sq = ((traj.states[1:] - traj.states[:-1])**2) @ m
-    k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-    t = mesh.transmissibilities
-    semi_sq = (traj.states[1:, k] - traj.states[1:, l])**2 @ t
-    lhs = norms_sq[1:] + np.cumsum(jumps_sq + 2.0 * tau * semi_sq)
+    mesh, states = traj.mesh, traj.states
+    norms_sq = ops.l2_norm_sq(mesh, states)
+    jumps_sq = ops.l2_norm_sq(mesh, states[1:] - states[:-1])
+    semi_sq = ops.h1_seminorm_sq(mesh, states[1:])
+    lhs = norms_sq[1:] + np.cumsum(jumps_sq + 2.0 * traj.grid.tau * semi_sq)
     return lhs - norms_sq[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete_ops import TpfaOperator
+from .discrete_ops import TpfaOperator, h1_seminorm_sq, l2_norm_sq
 from .errors import ConfigError
 from .mesh import (TensorMesh, build_tensor_mesh, cell_average, injection_map,
                    refine)
@@ -95,7 +95,10 @@ class StudyConfig:
         if not 1 <= self.ref_steps <= MAX_FINE_STEPS:
             raise ConfigError(f"ref_steps must lie in [1, 2**23] (exact noise "
                               f"lattice sums), got {self.ref_steps}")
-        for n in self.steps:
+        # FVSDE_* variables reach every subcommand, so a rule across two
+        # settings (here, and the preset's dimension) binds only studies
+        # that read both
+        for n in self.steps if self.study in ("temporal", "coupled") else ():
             if n < 1 or self.ref_steps % n != 0:
                 raise ConfigError(
                     f"step count {n} does not divide ref_steps={self.ref_steps}")
@@ -117,7 +120,7 @@ class StudyConfig:
             raise ConfigError("projections study needs at least 3 levels")
         problem = get_preset(self.preset)
         dim = 2 if self.study == "projections" else len(problem.domain)
-        if len(self.mesh) != dim:
+        if self.study != "properties" and len(self.mesh) != dim:
             raise ConfigError(f"{self.study} with preset {self.preset!r} "
                               f"needs a {dim}-D mesh, got {self.mesh}")
         # with fewer than 2 cells in x (or 3 in y) sin(pi x) (or sin(2 pi y))
@@ -187,27 +190,29 @@ class RateReport:
     def errors(self) -> list[float]:
         return [math.sqrt(r.err_mean_sq) for r in self.rows]
 
+    @property
+    def fit_points(self) -> list[tuple[float, float]]:
+        """(scale, error) pairs the slope is fitted on and plotted from: h or
+        tau against the root mean squared error ("dt": the mean as it is)."""
+        return [(r.h if self.scale_name == "h" else r.tau,
+                 r.err_mean_sq if self.scale_name == "dt"
+                 else math.sqrt(r.err_mean_sq)) for r in self.rows]
+
 
 def _report(study: str, rows: list[RateRow], scale_name: str,
             metadata: dict) -> RateReport:
-    """Fit the rate of the rows' errors against their h (or tau) column.
-
-    Squared increments ("dt" scale) are fitted as they are; every other
-    study fits the root of its mean squared error.
-    """
-    scales = [r.h if scale_name == "h" else r.tau for r in rows]
-    fit_errors = [r.err_mean_sq if scale_name == "dt"
-                  else math.sqrt(r.err_mean_sq) for r in rows]
-    if any(e <= 0.0 for e in fit_errors):
+    """Fit the rate of the rows' errors against their h (or tau) column."""
+    report = RateReport(study, rows, scale_name, math.nan, math.nan, math.nan,
+                        [math.nan], metadata)
+    points = report.fit_points
+    if any(e <= 0.0 for _, e in points):
         raise ConfigError(
             f"{study}: a level has error exactly zero (it coincides with the "
             "reference); drop it from the refinement chain")
-    slope, intercept, resid = fit_rate(list(zip(scales, fit_errors)))
-    so_far = [float("nan")]
-    for i in range(2, len(rows) + 1):
-        so_far.append(fit_rate(list(zip(scales[:i], fit_errors[:i])))[0])
-    return RateReport(study, rows, scale_name, slope, intercept, resid,
-                      so_far, metadata)
+    report.slope, report.intercept, report.fit_residual = fit_rate(points)
+    report.slopes_so_far += [fit_rate(points[:i])[0]
+                             for i in range(2, len(rows) + 1)]
+    return report
 
 
 def _mc_report(study: str, config: StudyConfig, columns, h_tau,
@@ -353,8 +358,8 @@ def _shared_nodes(engine: _PathEngine, levels, ref) -> list[np.ndarray]:
     out = []
     for (c_pos, r_pos), lift, states in zip(engine.nodes, engine.lifts,
                                             levels):
-        diff = states[c_pos][:, lift] - ref[r_pos]
-        out.append((diff * diff) @ engine.ref_mesh.measures)
+        out.append(l2_norm_sq(engine.ref_mesh,
+                              states[c_pos][:, lift] - ref[r_pos]))
     return out
 
 
@@ -362,14 +367,12 @@ def _increments(engine: _PathEngine, levels, ref):
     """Mean squared increments of the reference run at each separation, in
     L2 and in the discrete H1 seminorm."""
     mesh = engine.ref_mesh
-    k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
     vals = np.empty(len(HOELDER_SEPARATIONS))
     grads = np.empty(len(HOELDER_SEPARATIONS))
     for i, sep in enumerate(HOELDER_SEPARATIONS):
         d = ref[sep:] - ref[:-sep]
-        vals[i] = float(np.mean((d * d) @ mesh.measures))
-        dd = d[:, k] - d[:, l]
-        grads[i] = float(np.mean((dd * dd) @ mesh.transmissibilities))
+        vals[i] = float(np.mean(l2_norm_sq(mesh, d)))
+        grads[i] = float(np.mean(h1_seminorm_sq(mesh, d)))
     return vals, grads
 
 
@@ -427,8 +430,7 @@ def _spatial_rows(problem, levels) -> list[RateRow]:
                                              np.array([n_steps]))
         exact = cell_average(
             lambda x: problem.exact_solution(x, problem.horizon), mesh).values
-        diff = final - exact
-        err_sq = float(np.dot(mesh.measures, diff * diff))
+        err_sq = float(l2_norm_sq(mesh, final - exact))
         rows.append(RateRow(level, mesh.size_h, tau, 1, err_sq, 0.0))
     return rows
 

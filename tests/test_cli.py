@@ -45,6 +45,19 @@ def test_parse_config_env_override(tmp_path, monkeypatch):
     assert cfg.seed == 99
 
 
+def test_step_variable_set_for_temporal_does_not_break_properties(
+        monkeypatch, tmp_path, capsys):
+    from fvsde import cli
+    from fvsde.properties import PropertyReport
+
+    monkeypatch.setenv("FVSDE_STEPS", "3")
+    monkeypatch.setattr(cli, "run_property_suite",
+                        lambda config: PropertyReport([]))
+    assert main(["properties", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "PASS  overall\n"
+    assert main(["temporal", "--out", str(tmp_path / "t")]) == 2
+
+
 def test_parse_config_env_boolean(monkeypatch):
     monkeypatch.setenv("FVSDE_LEFT_INTERPOLANT", "off")
     assert parse_config("coupled", None).left_interpolant is False

@@ -6,7 +6,8 @@ import pytest
 from fvsde.discrete_ops import (EdgeVelocity, TpfaOperator, convection_matrix,
                                 dibp_edge_form, dibp_gap, dibp_row_form,
                                 discrete_h1_seminorm, discrete_l2_norm,
-                                edge_velocity, l2_error_vs_function, mass,
+                                edge_velocity, h1_seminorm_sq,
+                                l2_error_vs_function, l2_norm_sq, mass,
                                 poincare_constant_estimate)
 from fvsde.errors import MeshError
 from fvsde.fields import CellField
@@ -26,6 +27,39 @@ def test_l2_norm_examples():
     indicator[2] = 1.0
     assert discrete_l2_norm(CellField(mesh, indicator)) == pytest.approx(0.5)
     assert discrete_l2_norm(CellField(mesh, np.zeros(4))) == 0.0
+
+
+def test_row_wise_norms_match_a_loop_over_cells_and_faces():
+    # reference: every cell K and, per axis, its upper neighbour L, with
+    # m_sigma and d_KL taken from the per-axis spacings
+    spacings = [[0.1, 0.2, 0.3, 0.4], [0.1, 0.3, 0.2],
+                [0.5, 0.2, 0.6, 0.3, 0.4]]
+    mesh = build_tensor_mesh(((0.0, 1.0), (0.0, 0.6), (0.0, 2.0)), (4, 3, 5),
+                             spacings=spacings)
+    rows = np.random.default_rng(5).standard_normal((5, mesh.n_cells))
+    l2, h1 = l2_norm_sq(mesh, rows), h1_seminorm_sq(mesh, rows)
+    assert l2.shape == h1.shape == (5,)
+    for values, got_l2, got_h1 in zip(rows, l2, h1):
+        w = values.reshape(4, 3, 5)
+        want_l2 = want_h1 = 0.0
+        for idx in np.ndindex(4, 3, 5):
+            cell = math.prod(h[i] for h, i in zip(spacings, idx))
+            want_l2 += cell * w[idx]**2
+            for a in range(3):
+                if idx[a] + 1 == len(spacings[a]):
+                    continue
+                nb = idx[:a] + (idx[a] + 1,) + idx[a + 1:]
+                face = math.prod(h[i] for b, (h, i) in
+                                 enumerate(zip(spacings, idx)) if b != a)
+                dist = (spacings[a][idx[a]] + spacings[a][idx[a] + 1]) / 2.0
+                want_h1 += face / dist * (w[idx] - w[nb])**2
+        assert got_l2 == pytest.approx(want_l2, rel=1e-13)
+        assert got_h1 == pytest.approx(want_h1, rel=1e-13)
+        field = CellField(mesh, values)
+        assert discrete_l2_norm(field) == pytest.approx(math.sqrt(want_l2),
+                                                        rel=1e-13)
+        assert discrete_h1_seminorm(field) == pytest.approx(
+            math.sqrt(want_h1), rel=1e-13)
 
 
 def test_cell_field_rejects_wrong_shape_and_non_finite_values():

@@ -64,3 +64,15 @@ def test_no_module_imports_a_private_name_of_another(name):
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private, f"fvsde.{name} imports private names {private}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES
+                                  if m not in ("mesh", "discrete_ops")])
+def test_only_mesh_and_discrete_ops_read_the_face_arrays(name):
+    # the discrete norms and operators live in discrete_ops, so no other
+    # module needs a face's cells or transmissibility
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    reads = sorted({node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("edge_cells", "transmissibilities")})
+    assert not reads, f"fvsde.{name} reads the face arrays {reads}"

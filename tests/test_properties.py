@@ -136,6 +136,7 @@ def _perturbed_tpfa(perturb):
 
 _CONVECTION = ops.convection_matrix
 _POINCARE = ops.poincare_constant_estimate
+_H1_SQ = ops.h1_seminorm_sq
 _PROJECT = properties.elliptic_projection
 _CENTER = properties.centered_projection
 _RUN_PATH = properties.run_path
@@ -178,6 +179,13 @@ def _rolling_inject():
         mesh_mod.injection_map(field.mesh, fine), next(calls))])
 
 
+def _rolled_inject(field, fine):
+    # a fixed wrong parent map: deterministic, and norm-preserving on equal
+    # fine cells
+    return CellField(fine, field.values[np.roll(
+        mesh_mod.injection_map(field.mesh, fine), 1)])
+
+
 def _step_count_scaled_run_path(problem, mesh, grid, path, params=None):
     traj = _RUN_PATH(problem, mesh, grid, path, params)
     traj.states *= grid.n_steps
@@ -212,11 +220,20 @@ BROKEN_SUBJECTS = [
     _case("tpfa_self_adjoint_negative_kernel", properties, "TpfaOperator",
           lambda: _perturbed_tpfa(lambda a: a + 1e-3 * sp.eye(a.shape[0])),
           "constants are not in the kernel", "shifted_stiffness"),
-    # random zero-mean vectors sit far below the extremal Rayleigh quotient,
-    # so the gate needs a constant well below C_p, not a factor 2
     _case("discrete_poincare", ops, "poincare_constant_estimate",
           lambda: lambda mesh: 0.01 * _POINCARE(mesh), "Poincare violated",
           "small_poincare_constant"),
+    # the lowest Neumann mode attains C_p, so a factor 2 is caught too
+    _case("discrete_poincare", ops, "poincare_constant_estimate",
+          lambda: lambda mesh: 0.5 * _POINCARE(mesh), "Poincare violated",
+          "half_poincare_constant"),
+    # the norm the gates read is the one discrete_ops computes
+    _case("discrete_poincare", ops, "h1_seminorm_sq",
+          lambda: lambda mesh, values: 0.99 * _H1_SQ(mesh, values),
+          "Poincare violated", "shrunk_seminorm"),
+    _case("energy_dissipation_diffusion", ops, "h1_seminorm_sq",
+          lambda: lambda mesh, values: 1.01 * _H1_SQ(mesh, values),
+          "energy excess", "stretched_seminorm"),
     _case("upwind_flux_telescoping", ops, "convection_matrix",
           lambda: _leaky_convection, "upwind flux sum", "leaky_face"),
     _case("elliptic_projection_contract", properties, "elliptic_projection",
@@ -240,6 +257,9 @@ BROKEN_SUBJECTS = [
           "injection changed the norm", "shifted_injection"),
     _case("nested_injection_zero", properties, "inject", _rolling_inject,
           "injection is not deterministic", "rolling_injection"),
+    _case("nested_injection_zero", properties, "inject",
+          lambda: _rolled_inject, "injection does not copy each fine cell's "
+          "parent", "rolled_parent_map"),
     _case("moment_boundedness", properties, "run_path",
           lambda: _step_count_scaled_run_path, "sup_n E||u||^2 moved",
           "step_count_scaled_states"),

@@ -357,6 +357,18 @@ def test_step_failure_carries_step_index():
         assert info.value.residual is not None and info.value.residual > 0.0
 
 
+@pytest.mark.parametrize("settings", [
+    {"max_newton_iterations": -1},
+    {"newton_tol": 0.0},
+    {"newton_tol": -1e-11},
+    {"newton_tol": float("nan")},
+], ids=["negative_iterations", "zero_tol", "negative_tol", "nan_tol"])
+def test_stepper_params_reject_bad_newton_settings(settings):
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        StepperParams(**settings)
+    assert StepperParams(max_newton_iterations=0).max_newton_iterations == 0
+
+
 def test_non_finite_step_is_a_solver_error():
     # deriving noise_factorizes compares g(s) with g(1) s, which is
     # inf * 0 at s = 0 for this g
