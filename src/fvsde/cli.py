@@ -242,10 +242,11 @@ def _print_report(report) -> None:
 
 
 def _run_projections(config: StudyConfig, out_dir: str) -> list[str]:
-    meshes = [build_tensor_mesh(((0.0, 1.0), (0.0, 1.0)), config.mesh)]
+    spec = cosine_mode_spec()
+    meshes = [build_tensor_mesh(spec.domain, config.mesh)]
     for _ in range(config.levels - 1):
         meshes.append(refine(meshes[-1]))
-    report = projection_error_report(cosine_mode_spec(), meshes)
+    report = projection_error_report(spec, meshes)
     lines = ["h,elliptic_error,centered_error,seminorm_gap"]
     for h, e1, e2, e3 in report.rows():
         lines.append(",".join(fmt(v) for v in (h, e1, e2, e3)))

@@ -4,6 +4,7 @@ and its diagnostics.
 
 Conventions, for a field w_h = sum_K w_K 1_K:
 
+    int_Lambda w_h = sum_K m_K w_K
     ||w_h||_2^2   = sum_K m_K w_K^2
     |w_h|_{1,h}^2 = sum_{sigma in E_int} (m_sigma / d_KL) (w_K - w_L)^2
 
@@ -30,6 +31,7 @@ from .mesh import TensorMesh, box_rule, cell_average, gauss_rule
 __all__ = [
     "EdgeVelocity",
     "TpfaOperator",
+    "integral",
     "l2_norm_sq",
     "h1_seminorm_sq",
     "discrete_l2_norm",
@@ -81,9 +83,14 @@ class TpfaOperator:
         return -(self.stiffness @ values) / self.measures
 
 
+def integral(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
+    """int_Lambda w_h = sum_K m_K w_K of each row of a (..., n_cells) array."""
+    return values @ mesh.measures
+
+
 def l2_norm_sq(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
     """||w_h||_2^2 of each row of a (..., n_cells) array."""
-    return (values * values) @ mesh.measures
+    return integral(mesh, values * values)
 
 
 def h1_seminorm_sq(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
@@ -99,7 +106,7 @@ def discrete_l2_norm(field: CellField) -> float:
 
 def mass(field: CellField) -> float:
     """int_Lambda w_h = sum_K m_K w_K."""
-    return float(np.sum(field.mesh.measures * field.values))
+    return float(integral(field.mesh, field.values))
 
 
 def discrete_h1_seminorm(field: CellField) -> float:
@@ -228,4 +235,4 @@ def l2_error_vs_function(field: CellField,
     sq = cell_average(
         lambda x: (np.asarray(fn(x), dtype=float) - field.values) ** 2,
         field.mesh)
-    return float(np.sqrt(np.sum(field.mesh.measures * sq.values)))
+    return float(np.sqrt(integral(field.mesh, sq.values)))

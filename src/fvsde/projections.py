@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .discrete_ops import (TpfaOperator, discrete_h1_seminorm,
-                           grounded_solver, l2_error_vs_function)
+                           grounded_solver, integral, l2_error_vs_function)
 from .errors import CompatibilityWarning, ConfigError, SolverError
 from .fields import CellField
 from .mesh import TensorMesh, cell_average
@@ -97,8 +97,7 @@ def elliptic_projection(spec: SmoothFunctionSpec,
     warns (CompatibilityWarning) when int_Lambda Lap(w) fails to vanish
     beyond quadrature accuracy, which signals non-Neumann data.
     """
-    target_mass = float(np.dot(mesh.measures,
-                               cell_average(spec.fn, mesh).values))
+    target_mass = float(integral(mesh, cell_average(spec.fn, mesh).values))
     if mesh.n_cells == 1:
         return CellField(mesh, np.array([target_mass / mesh.domain_measure]))
     rhs = -mesh.measures * cell_average(spec.laplacian, mesh).values
@@ -111,7 +110,7 @@ def elliptic_projection(spec: SmoothFunctionSpec,
             CompatibilityWarning, stacklevel=2)
     rhs -= rhs.sum() / mesh.n_cells
     x = grounded_solver(TpfaOperator(mesh))(rhs)
-    x += (target_mass - float(np.dot(mesh.measures, x))) / mesh.domain_measure
+    x += (target_mass - float(integral(mesh, x))) / mesh.domain_measure
     field = CellField(mesh, x)
     res = elliptic_residual(spec, field)
     if res > RESIDUAL_TOL:
@@ -161,8 +160,8 @@ def projection_error_report(spec: SmoothFunctionSpec,
         gaps.append(discrete_h1_seminorm(
             CellField(mesh, hat.values - tilde.values)))
         residuals.append(elliptic_residual(spec, tilde))
-        target = float(np.dot(mesh.measures, cell_average(spec.fn, mesh).values))
-        defects.append(abs(float(np.dot(mesh.measures, tilde.values)) - target))
+        target = float(integral(mesh, cell_average(spec.fn, mesh).values))
+        defects.append(abs(float(integral(mesh, tilde.values)) - target))
     # an entry that is rounding noise next to its column's largest is zero
     if any(min(col) <= 1e-12 * max(col) for col in (e_ell, e_cen, gaps)):
         raise ConfigError("a projection error is zero up to rounding on some "

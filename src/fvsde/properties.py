@@ -73,17 +73,16 @@ def _check_dibp(rng) -> str:
 def _check_tpfa_operator(rng) -> str:
     mesh = build_tensor_mesh(((0.0, 1.0), (0.0, 1.0)), (6, 5))
     op = TpfaOperator(mesh)
-    m = mesh.measures
     worst = 0.0
     for _ in range(10):
         w = rng.standard_normal(mesh.n_cells)
         v = rng.standard_normal(mesh.n_cells)
         lw, lv = op.laplacian_values(w), op.laplacian_values(v)
-        sym = abs(np.sum(m * lw * v) - np.sum(m * w * lv))
+        sym = abs(ops.integral(mesh, lw * v) - ops.integral(mesh, w * lv))
         worst = max(worst, sym)
         if sym > 1e-10:
             raise AssertionError(f"weighted self-adjointness defect {sym:.3e}")
-        if np.sum(m * lw * w) > 1e-10:
+        if ops.integral(mesh, lw * w) > 1e-10:
             raise AssertionError("operator is not negative semidefinite")
     const = op.laplacian_values(np.ones(mesh.n_cells))
     if np.max(np.abs(const)) > 1e-13:
@@ -94,12 +93,11 @@ def _check_tpfa_operator(rng) -> str:
 def _check_poincare(rng) -> str:
     mesh = build_tensor_mesh(((0.0, 1.0), (0.0, 1.0)), (8, 8))
     cp = ops.poincare_constant_estimate(mesh)
-    m = mesh.measures
     # random vectors sit far below the extremal quotient; the lowest Neumann
     # mode attains it, so an estimate that is too small fails on it
     lowest = np.cos(np.pi * mesh.centers[:, 0])
     for w in [lowest] + [rng.standard_normal(mesh.n_cells) for _ in range(30)]:
-        f = CellField(mesh, w - np.dot(m, w) / m.sum())
+        f = CellField(mesh, w - ops.integral(mesh, w) / mesh.domain_measure)
         lhs = ops.discrete_l2_norm(f) ** 2
         rhs = cp * ops.discrete_h1_seminorm(f) ** 2 + 1e-10
         if lhs > rhs:
@@ -123,9 +121,13 @@ def _check_upwind_telescoping(rng) -> str:
 
 
 def _check_mass_identity(rng) -> str:
+    # unequal cells: weighting the sums by anything but the cell measures
+    # leaves the fluxes untelescoped
+    spacing = [0.05, 0.08, 0.1, 0.12, 0.14, 0.16, 0.17, 0.18]
     for preset in ("additive", "stochastic"):
         problem = get_preset(preset)
-        mesh = build_tensor_mesh(problem.domain, (8, 8))
+        mesh = build_tensor_mesh(problem.domain, (8, 8),
+                                 spacings=[spacing, spacing[::-1]])
         grid = TimeGrid(16, problem.horizon)
         for p in range(2):
             path = sample_path(4242, p, 64, problem.horizon)

@@ -379,10 +379,10 @@ def trajectory_mass_defects(traj: Trajectory, problem: ProblemSpec) -> np.ndarra
                                     + tau sum_K m_K beta(u_K^k) ].
     Returns the per-step absolute defect (solver tolerance accumulation).
     """
-    m = traj.mesh.measures
-    masses = traj.states @ m
-    g_terms = traj.increments * (problem.g(traj.states[:-1]) @ m)
-    b_terms = traj.grid.tau * (problem.beta(traj.states[1:]) @ m)
+    mesh = traj.mesh
+    masses = ops.integral(mesh, traj.states)
+    g_terms = traj.increments * ops.integral(mesh, problem.g(traj.states[:-1]))
+    b_terms = traj.grid.tau * ops.integral(mesh, problem.beta(traj.states[1:]))
     predicted = masses[0] + np.cumsum(g_terms + b_terms)
     return np.abs(masses[1:] - predicted)
 

@@ -58,6 +58,10 @@ STUDIES = tuple(_DEFAULTS)
 
 HOELDER_SEPARATIONS = (1, 2, 4)
 
+# spatial levels step with tau ~ SPATIAL_TAU_FACTOR h_axis^2, h_axis the
+# level's largest cell side
+SPATIAL_TAU_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -277,7 +281,8 @@ def _levels(config: StudyConfig, problem) -> tuple[list, tuple | None]:
     levels = []
     for m in meshes:
         hx = max(float(np.max(sp)) for sp in m.spacings)
-        levels.append((m, max(1, math.ceil(problem.horizon / (0.5 * hx * hx)))))
+        levels.append((m, max(1, math.ceil(
+            problem.horizon / (SPATIAL_TAU_FACTOR * hx * hx)))))
     return levels, None
 
 
@@ -463,7 +468,8 @@ def run_rate_study(config: StudyConfig) -> list[RateReport]:
         extra = {"mesh_regularity": ref[0].regularity}
     if study == "spatial":
         md = _base_metadata(config, problem,
-                            {**extra, "tau_rule": "0.5*h_axis^2"})
+                            {**extra, "tau_rule":
+                             f"{SPATIAL_TAU_FACTOR}*h_axis^2"})
         return [_report(study, _spatial_rows(problem, levels), "h", md)]
     results = _map_paths(config)
     if study == "hoelder":

@@ -6,7 +6,7 @@ import pytest
 from fvsde.discrete_ops import (EdgeVelocity, TpfaOperator, convection_matrix,
                                 dibp_edge_form, dibp_gap, dibp_row_form,
                                 discrete_h1_seminorm, discrete_l2_norm,
-                                edge_velocity, h1_seminorm_sq,
+                                edge_velocity, h1_seminorm_sq, integral,
                                 l2_error_vs_function, l2_norm_sq, mass,
                                 poincare_constant_estimate)
 from fvsde.errors import MeshError
@@ -60,6 +60,26 @@ def test_row_wise_norms_match_a_loop_over_cells_and_faces():
                                                         rel=1e-13)
         assert discrete_h1_seminorm(field) == pytest.approx(
             math.sqrt(want_h1), rel=1e-13)
+
+
+@pytest.mark.parametrize("domain, spacings", [
+    (((0.0, 1.0), (0.0, 0.6)), [[0.1, 0.15, 0.2, 0.25, 0.3], [0.1, 0.3, 0.2]]),
+    (((0.0, 1.0), (0.0, 0.6), (0.0, 2.0)),
+     [[0.1, 0.2, 0.3, 0.4], [0.1, 0.3, 0.2], [0.5, 0.2, 0.6, 0.3, 0.4]]),
+], ids=["graded_2d", "graded_3d"])
+def test_integral_is_the_one_measure_weighted_reduction(domain, spacings):
+    mesh = build_tensor_mesh(domain, [len(h) for h in spacings],
+                             spacings=spacings)
+    rows = np.random.default_rng(9).standard_normal((4, mesh.n_cells))
+    got = integral(mesh, rows)
+    assert got.shape == (4,)
+    cells = [math.prod(h[i] for h, i in zip(spacings, idx))
+             for idx in np.ndindex(*mesh.cell_counts)]
+    for values, value in zip(rows, got):
+        assert value == pytest.approx(sum(m * w for m, w in zip(cells, values)),
+                                      rel=1e-13)
+        assert mass(CellField(mesh, values)) == float(integral(mesh, values))
+    assert np.array_equal(l2_norm_sq(mesh, rows), integral(mesh, rows * rows))
 
 
 def test_cell_field_rejects_wrong_shape_and_non_finite_values():

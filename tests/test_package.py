@@ -76,3 +76,15 @@ def test_only_mesh_and_discrete_ops_read_the_face_arrays(name):
                     if isinstance(node, ast.Attribute)
                     and node.attr in ("edge_cells", "transmissibilities")})
     assert not reads, f"fvsde.{name} reads the face arrays {reads}"
+
+
+@pytest.mark.parametrize("name", [
+    m for m in MODULES
+    if m not in ("mesh", "discrete_ops", "scheme", "projections")])
+def test_no_other_module_reads_the_cell_measures(name):
+    # measure-weighted sums go through discrete_ops.integral; only the step
+    # (scheme) and the flux right-hand side (projections) need m_K per cell
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "measures"
+                   for node in ast.walk(tree)), \
+        f"fvsde.{name} reads mesh.measures"

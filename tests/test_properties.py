@@ -153,6 +153,11 @@ def _leaky_convection(edge_vel, tau):
         ([flux], ([mesh.edge_cells[0, 1]], [up])), shape=(n, n))
 
 
+def _rolled_integral(mesh, values):
+    # each cell weighted by its neighbour's measure: unchanged on equal cells
+    return values @ np.roll(mesh.measures, 1)
+
+
 def _offset(project, offset):
     # a constant shift leaves every flux, hence the residual, unchanged, but
     # makes the projection affine instead of linear
@@ -234,6 +239,9 @@ BROKEN_SUBJECTS = [
     _case("energy_dissipation_diffusion", ops, "h1_seminorm_sq",
           lambda: lambda mesh, values: 1.01 * _H1_SQ(mesh, values),
           "energy excess", "stretched_seminorm"),
+    # the mass identity's sums must weight each cell by its own measure
+    _case("mass_martingale_identity", ops, "integral",
+          lambda: _rolled_integral, "additive: mass defect", "rolled_measures"),
     _case("upwind_flux_telescoping", ops, "convection_matrix",
           lambda: _leaky_convection, "upwind flux sum", "leaky_face"),
     _case("elliptic_projection_contract", properties, "elliptic_projection",

@@ -219,6 +219,20 @@ def test_spatial_study_smoke():
     assert report.metadata["preset"] == "heat2d"
 
 
+def test_spatial_study_tau_follows_its_stated_rule():
+    (report,) = run_rate_study(default_config("spatial", levels=2))
+    assert report.metadata["tau_rule"] == "0.5*h_axis^2"
+    problem = get_preset("heat2d")
+    mesh = build_tensor_mesh(problem.domain, (8, 8))
+    for row in report.rows:
+        h_axis = max(float(np.max(s)) for s in mesh.spacings)
+        n_steps = int(np.ceil(problem.horizon / (0.5 * h_axis ** 2)))
+        assert row.h == mesh.size_h
+        assert row.tau == TimeGrid(n_steps, problem.horizon).tau
+        mesh = refine(mesh)
+    assert len(report.rows) == 2
+
+
 def test_spatial_study_3d_smoke():
     cfg = default_config("spatial", preset="heat3d", mesh=(8, 8, 8), levels=3)
     (report,) = run_rate_study(cfg)
