@@ -248,8 +248,7 @@ def _run_projections(config: StudyConfig, out_dir: str) -> list[str]:
         meshes.append(refine(meshes[-1]))
     report = projection_error_report(spec, meshes)
     lines = ["h,elliptic_error,centered_error,seminorm_gap"]
-    for h, e1, e2, e3 in report.rows():
-        lines.append(",".join(fmt(v) for v in (h, e1, e2, e3)))
+    lines += [",".join(map(fmt, row)) for row in report.rows()]
     csv_path = os.path.join(out_dir, "projections_rates.csv")
     write_text(csv_path, "\n".join(lines) + "\n")
     json_path = os.path.join(out_dir, "projections_summary.json")

@@ -43,7 +43,7 @@ __all__ = [
     "dibp_row_form",
     "dibp_edge_form",
     "dibp_gap",
-    "grounded_solver",
+    "grounded_solve",
     "poincare_constant_estimate",
     "l2_error_vs_function",
 ]
@@ -70,17 +70,15 @@ class TpfaOperator:
         self.mesh = mesh
         n = mesh.n_cells
         t = mesh.transmissibilities
-        k = mesh.edge_cells[:, 0]
-        l = mesh.edge_cells[:, 1]
+        k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
         rows = np.concatenate([k, l, k, l])
         cols = np.concatenate([k, l, l, k])
         data = np.concatenate([t, t, -t, -t])
         self.stiffness = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        self.measures = mesh.measures
 
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
         """Discrete Neumann Laplacian, (1/m_K) sum_sigma t_sigma (w_L - w_K)."""
-        return -(self.stiffness @ values) / self.measures
+        return -(self.stiffness @ values) / self.mesh.measures
 
 
 def integral(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
@@ -191,18 +189,16 @@ def dibp_gap(w: CellField, v: CellField) -> float:
     return abs(dibp_row_form(w, v) - dibp_edge_form(w, v))
 
 
-def grounded_solver(op: TpfaOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Direct solver for A x = b with A the TPFA stiffness and sum(b) = 0.
-
-    The kernel of A is the constants, so grounding the first unknown (x_0 = 0,
-    first row and column dropped) leaves a definite system; it is factorized
-    once and the returned function solves it for any compatible b.
-    """
+def grounded_solve(op: TpfaOperator, b: np.ndarray) -> np.ndarray:
+    """Solution of A x = b with x_0 = 0, for A the TPFA stiffness and
+    sum(b) = 0: the kernel of A is the constants, so grounding the first
+    unknown (first row and column dropped) leaves a definite system, solved
+    by one sparse LU factorization."""
     try:
         lu = splu(op.stiffness.tocsc()[1:, 1:])
     except RuntimeError as exc:  # pragma: no cover - singular submatrix
         raise SolverError(f"stiffness factorization failed: {exc}") from exc
-    return lambda b: np.concatenate([[0.0], lu.solve(b[1:])])
+    return np.concatenate([[0.0], lu.solve(b[1:])])
 
 
 def poincare_constant_estimate(mesh: TensorMesh) -> float:

@@ -40,15 +40,16 @@ __all__ = [
     "inject",
 ]
 
-#: Gauss-Legendre order used for all cell / face quadratures (exact through
-#: polynomial degree 2*order - 1 = 5 per axis).  Recorded in reports.
-QUADRATURE_ORDER = 3
-
-
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the reference interval [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+#: Gauss-Legendre order used for all cell / face quadratures (exact through
+#: polynomial degree 2*order - 1 = 5 per axis).  Recorded in reports.
+QUADRATURE_ORDER = 3
+_BOX_NODES, _BOX_WEIGHTS = gauss_rule(QUADRATURE_ORDER)   # built once
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,12 +369,11 @@ def box_rule(lower: np.ndarray, upper: np.ndarray, axes: list[int]):
     QUADRATURE_ORDER points per axis in `axes`, over the boxes with (n, d)
     corners `lower` and `upper`, one box a row; the weights are those of
     [0, 1]^len(axes), and the coordinates off `axes` stay at `lower`."""
-    gx, gw = gauss_rule(QUADRATURE_ORDER)
     widths = upper[:, axes] - lower[:, axes]
     for combo in np.ndindex(*([QUADRATURE_ORDER] * len(axes))):
         points = lower.copy()
-        points[:, axes] = lower[:, axes] + widths * gx[list(combo)]
-        yield math.prod(gw[c] for c in combo), points
+        points[:, axes] = lower[:, axes] + widths * _BOX_NODES[list(combo)]
+        yield math.prod(_BOX_WEIGHTS[c] for c in combo), points
 
 
 def cell_average(fn: Callable[[np.ndarray], np.ndarray],

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .discrete_ops import (TpfaOperator, discrete_h1_seminorm,
-                           grounded_solver, integral, l2_error_vs_function)
+                           grounded_solve, integral, l2_error_vs_function)
 from .errors import CompatibilityWarning, ConfigError, SolverError
 from .fields import CellField
 from .mesh import TensorMesh, cell_average
@@ -54,18 +54,13 @@ class SmoothFunctionSpec:
 
     def __post_init__(self):
         rng = np.random.default_rng(7)
-        d = len(self.domain)
-        lo = np.array([a for a, _ in self.domain])
-        hi = np.array([b for _, b in self.domain])
+        lo, hi = np.array(self.domain, dtype=float).T
         step = 1e-4 * float(np.min(hi - lo))
-        pts = lo + (hi - lo) * (0.25 + 0.5 * rng.random((8, d)))
-        num = np.zeros(8)
+        pts = lo + (hi - lo) * (0.25 + 0.5 * rng.random((8, lo.size)))
         base = np.asarray(self.fn(pts), dtype=float)
-        for a in range(d):
-            plus = pts.copy(); plus[:, a] += step
-            minus = pts.copy(); minus[:, a] -= step
-            num += (np.asarray(self.fn(plus)) - 2.0 * base
-                    + np.asarray(self.fn(minus))) / step**2
+        num = sum((np.asarray(self.fn(pts + e)) - 2.0 * base
+                   + np.asarray(self.fn(pts - e))) / step**2
+                  for e in step * np.eye(lo.size))
         ana = np.asarray(self.laplacian(pts), dtype=float)
         scale = np.max(np.abs(ana)) + 1.0
         if np.max(np.abs(num - ana)) > 1e-6 * scale:
@@ -89,6 +84,40 @@ def centered_projection(fn: Callable[[np.ndarray], np.ndarray],
     return CellField(mesh, np.asarray(fn(mesh.centers), dtype=float))
 
 
+def _flux_rhs(spec: SmoothFunctionSpec, mesh: TensorMesh,
+              stacklevel: int = 3) -> np.ndarray:
+    """The flux right-hand side -m_K <Lap w>_K with its sum removed, and the
+    CompatibilityWarning of elliptic_projection when that sum is not zero
+    on a mesh with interior faces (one cell has no flux balance to meet)."""
+    rhs = -mesh.measures * cell_average(spec.laplacian, mesh).values
+    imbalance = float(rhs.sum())
+    scale = float(np.sum(np.abs(rhs))) + 1.0
+    if mesh.n_interior_edges and abs(imbalance) > 1e-8 * scale:
+        warnings.warn(
+            f"int_Lambda Lap(w) = {-imbalance:.3e} does not vanish; the data "
+            "is not compatible with homogeneous Neumann fluxes",
+            CompatibilityWarning, stacklevel=stacklevel)
+    return rhs - imbalance / mesh.n_cells
+
+
+def _flux_residual(op: TpfaOperator, x: np.ndarray, rhs: np.ndarray) -> float:
+    return float(np.max(np.abs(op.stiffness @ x - rhs)))
+
+
+def _solve(spec: SmoothFunctionSpec, mesh: TensorMesh) -> tuple[CellField, float, float]:
+    """The elliptic projection, the flux-balance residual it was checked
+    against and its target mass int_Lambda w."""
+    target_mass = float(integral(mesh, cell_average(spec.fn, mesh).values))
+    rhs = _flux_rhs(spec, mesh, stacklevel=4)   # warn at the public caller
+    op = TpfaOperator(mesh)
+    x = grounded_solve(op, rhs)
+    x += (target_mass - float(integral(mesh, x))) / mesh.domain_measure
+    res = _flux_residual(op, x, rhs)
+    if res > RESIDUAL_TOL:
+        raise SolverError(f"projection residual {res:.3e} exceeds {RESIDUAL_TOL}")
+    return CellField(mesh, x), res, target_mass
+
+
 def elliptic_projection(spec: SmoothFunctionSpec,
                         mesh: TensorMesh) -> CellField:
     """Cell field satisfying the mean and per-cell flux-balance equations.
@@ -97,34 +126,13 @@ def elliptic_projection(spec: SmoothFunctionSpec,
     warns (CompatibilityWarning) when int_Lambda Lap(w) fails to vanish
     beyond quadrature accuracy, which signals non-Neumann data.
     """
-    target_mass = float(integral(mesh, cell_average(spec.fn, mesh).values))
-    if mesh.n_cells == 1:
-        return CellField(mesh, np.array([target_mass / mesh.domain_measure]))
-    rhs = -mesh.measures * cell_average(spec.laplacian, mesh).values
-    imbalance = float(rhs.sum())
-    scale = float(np.sum(np.abs(rhs))) + 1.0
-    if abs(imbalance) > 1e-8 * scale:
-        warnings.warn(
-            f"int_Lambda Lap(w) = {-imbalance:.3e} does not vanish; the data "
-            "is not compatible with homogeneous Neumann fluxes",
-            CompatibilityWarning, stacklevel=2)
-    rhs -= rhs.sum() / mesh.n_cells
-    x = grounded_solver(TpfaOperator(mesh))(rhs)
-    x += (target_mass - float(integral(mesh, x))) / mesh.domain_measure
-    field = CellField(mesh, x)
-    res = elliptic_residual(spec, field)
-    if res > RESIDUAL_TOL:
-        raise SolverError(f"projection residual {res:.3e} exceeds {RESIDUAL_TOL}")
-    return field
+    return _solve(spec, mesh)[0]
 
 
 def elliptic_residual(spec: SmoothFunctionSpec, field: CellField) -> float:
     """Max-norm defect of the per-cell flux balance at a candidate field."""
     mesh = field.mesh
-    op = TpfaOperator(mesh)
-    rhs = -mesh.measures * cell_average(spec.laplacian, mesh).values
-    rhs -= rhs.sum() / mesh.n_cells
-    return float(np.max(np.abs(op.stiffness @ field.values - rhs)))
+    return _flux_residual(TpfaOperator(mesh), field.values, _flux_rhs(spec, mesh))
 
 
 @dataclass
@@ -140,9 +148,8 @@ class ProjectionErrorReport:
     mass_defects: list[float]
 
     def rows(self):
-        for i, h in enumerate(self.sizes):
-            yield (h, self.elliptic_errors[i], self.centered_errors[i],
-                   self.seminorm_gaps[i])
+        return zip(self.sizes, self.elliptic_errors, self.centered_errors,
+                   self.seminorm_gaps)
 
 
 def projection_error_report(spec: SmoothFunctionSpec,
@@ -152,24 +159,21 @@ def projection_error_report(spec: SmoothFunctionSpec,
         raise ValueError("need at least 3 refinement levels")
     sizes, e_ell, e_cen, gaps, residuals, defects = [], [], [], [], [], []
     for mesh in meshes:
-        tilde = elliptic_projection(spec, mesh)
+        tilde, residual, target = _solve(spec, mesh)
         hat = centered_projection(spec.fn, mesh)
         sizes.append(mesh.size_h)
         e_ell.append(l2_error_vs_function(tilde, spec.fn))
         e_cen.append(l2_error_vs_function(hat, spec.fn))
         gaps.append(discrete_h1_seminorm(
             CellField(mesh, hat.values - tilde.values)))
-        residuals.append(elliptic_residual(spec, tilde))
-        target = float(integral(mesh, cell_average(spec.fn, mesh).values))
+        residuals.append(residual)
         defects.append(abs(float(integral(mesh, tilde.values)) - target))
+    columns = {"elliptic": e_ell, "centered": e_cen, "seminorm_gap": gaps}
     # an entry that is rounding noise next to its column's largest is zero
-    if any(min(col) <= 1e-12 * max(col) for col in (e_ell, e_cen, gaps)):
+    if any(min(col) <= 1e-12 * max(col) for col in columns.values()):
         raise ConfigError("a projection error is zero up to rounding on some "
                           "level; start from a finer base mesh")
-    slopes = {
-        "elliptic": fit_rate(list(zip(sizes, e_ell)))[0],
-        "centered": fit_rate(list(zip(sizes, e_cen)))[0],
-        "seminorm_gap": fit_rate(list(zip(sizes, gaps)))[0],
-    }
+    slopes = {key: fit_rate(list(zip(sizes, col)))[0]
+              for key, col in columns.items()}
     return ProjectionErrorReport(sizes, e_ell, e_cen, gaps, slopes,
                                  residuals, defects)

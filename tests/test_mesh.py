@@ -322,6 +322,17 @@ def test_box_rule_integrates_over_the_given_axes_only():
     np.testing.assert_allclose(acc, expected, rtol=1e-14)
 
 
+def test_box_rule_does_not_rebuild_its_gauss_rule(monkeypatch):
+    # the 3-point rule is built once, at import, not on every call
+    def no_leggauss(order):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_leggauss)
+    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
+    field = cell_average(lambda x: x[:, 0], mesh)
+    np.testing.assert_allclose(field.values, [0.25, 0.25, 0.75, 0.75])
+
+
 def test_refine_counts_and_nesting():
     mesh = build_tensor_mesh(UNIT_SQUARE, (2, 2))
     fine = refine(mesh)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,13 @@ def test_incompatible_data_warns():
                               laplacian=lambda x: np.full(x.shape[0], 2.0),
                               domain=UNIT_SQUARE)
     mesh = build_tensor_mesh(UNIT_SQUARE, (4, 4))
-    with pytest.warns(CompatibilityWarning):
+    with pytest.warns(CompatibilityWarning) as record:
         elliptic_projection(spec, mesh)
+        elliptic_projection(spec, mesh)
+    # one warning per projection, not one per assembly of the right-hand
+    # side, attributed to the line that asked for the projection
+    assert [w.category for w in record] == [CompatibilityWarning] * 2
+    assert {w.filename for w in record} == {__file__}
 
 
 def test_projection_linearity():
@@ -124,6 +131,16 @@ def test_single_cell_projection_is_the_mean():
     mesh = build_tensor_mesh(UNIT_SQUARE, (1, 1))
     tilde = elliptic_projection(spec, mesh)
     assert tilde.values[0] == pytest.approx(0.0, abs=1e-12)
+    # one cell has no interior face, so no flux balance to warn about, even
+    # where its one-cell quadrature of int Lap(w) is far from zero
+    cos2 = SmoothFunctionSpec(
+        fn=lambda x: np.cos(2.0 * np.pi * x[:, 0]),
+        laplacian=lambda x: -4.0 * np.pi**2 * np.cos(2.0 * np.pi * x[:, 0]),
+        domain=UNIT_SQUARE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tilde = elliptic_projection(cos2, mesh)
+    assert tilde.values[0] == mass(cell_average(cos2.fn, mesh))
 
 
 def test_centered_projection_first_order_rate():
@@ -152,6 +169,29 @@ def test_projection_error_report_windows():
     for col in (report.elliptic_errors, report.centered_errors,
                 report.seminorm_gaps):
         assert all(a > b for a, b in zip(col, col[1:]))
+
+
+def test_report_assembles_each_level_once(monkeypatch):
+    # per level: one TPFA operator, one cell average of Lap(w) and one of w
+    spec = cosine_mode_spec()
+    counts = {"tpfa": 0, "laplacian": 0, "fn": 0}
+    average, tpfa = projections.cell_average, projections.TpfaOperator
+
+    def counted_average(fn, mesh):
+        counts[{spec.laplacian: "laplacian", spec.fn: "fn"}[fn]] += 1
+        return average(fn, mesh)
+
+    def counted_tpfa(mesh):
+        counts["tpfa"] += 1
+        return tpfa(mesh)
+
+    monkeypatch.setattr(projections, "cell_average", counted_average)
+    monkeypatch.setattr(projections, "TpfaOperator", counted_tpfa)
+    meshes = [build_tensor_mesh(spec.domain, (8, 8))]
+    for _ in range(3):
+        meshes.append(refine(meshes[-1]))
+    projection_error_report(spec, meshes)
+    assert counts == {"tpfa": 4, "laplacian": 4, "fn": 4}
 
 
 def test_projection_error_report_needs_three_levels():
@@ -184,9 +224,9 @@ def test_report_third_column_roundoff_for_coinciding_case():
 
 def test_projection_that_misses_the_flux_balance_is_a_solver_error(
         monkeypatch):
-    solver = projections.grounded_solver
-    monkeypatch.setattr(projections, "grounded_solver",
-                        lambda op: lambda b: 1.001 * solver(op)(b))
+    solve = projections.grounded_solve
+    monkeypatch.setattr(projections, "grounded_solve",
+                        lambda op, b: 1.001 * solve(op, b))
     mesh = build_tensor_mesh(UNIT_SQUARE, (8, 8))
     with pytest.raises(SolverError, match="^projection residual .* exceeds"):
         elliptic_projection(_cos_cos_spec(), mesh)
