@@ -34,6 +34,7 @@ __all__ = [
     "integral",
     "l2_norm_sq",
     "h1_seminorm_sq",
+    "upwind_dissipation",
     "discrete_l2_norm",
     "mass",
     "discrete_h1_seminorm",
@@ -93,9 +94,25 @@ def l2_norm_sq(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
 
 def h1_seminorm_sq(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
     """|w_h|_{1,h}^2 of each row of a (..., n_cells) array."""
+    return _squared_jumps(mesh, values, mesh.transmissibilities)
+
+
+def upwind_dissipation(edge_vel: EdgeVelocity,
+                       values: np.ndarray) -> np.ndarray:
+    """sum_sigma m_sigma |v_sigma| (w_K - w_L)^2 of each row of a
+    (..., n_cells) array: twice the energy the upwind convection of f = id
+    dissipates per unit time, beside the divergence term."""
+    mesh = edge_vel.mesh
+    return _squared_jumps(mesh, values,
+                          mesh.edge_measures * np.abs(edge_vel.values))
+
+
+def _squared_jumps(mesh: TensorMesh, values: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """sum_sigma weights_sigma (w_K - w_L)^2 of each row."""
     k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
     jumps = values[..., k] - values[..., l]
-    return (jumps * jumps) @ mesh.transmissibilities
+    return (jumps * jumps) @ weights
 
 
 def discrete_l2_norm(field: CellField) -> float:

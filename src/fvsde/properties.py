@@ -176,7 +176,21 @@ def _check_energy(preset: str) -> str:
     excess = energy_balance_defects(traj)
     if np.any(excess > 1e-9):
         raise AssertionError(f"energy excess {excess.max():.3e}")
-    return f"max energy excess {excess.max():.2e}"
+    # with f = id the excess is minus tau times the cumulative upwind
+    # dissipation (the stream's edge divergence is rounding), so the
+    # inequality is an identity; its defect is rounding, about 1e-16
+    # ||u^0||^2 a step, and the bound allows 1e-13 a step
+    dissipation = 0.0
+    if problem.velocity is not None:
+        vel = ops.edge_velocity(problem.velocity, mesh, 0.0, grid.tau)
+        dissipation = ops.upwind_dissipation(vel, traj.states[1:])
+    defect = np.abs(excess + grid.tau * np.cumsum(dissipation))
+    bound = (np.arange(1, grid.n_steps + 1) * 1e-13
+             * ops.l2_norm_sq(mesh, traj.states[0]))
+    if np.any(defect > bound):
+        raise AssertionError(f"energy identity defect {defect.max():.3e}")
+    return (f"max energy excess {excess.max():.2e}, identity defect "
+            f"{defect.max():.2e}")
 
 
 def _check_projection(rng) -> str:

@@ -11,22 +11,27 @@ dW_n, the new vector u^n solves, for every control volume K,
 with u_sigma the upstream value (u_K when v_{K,sigma} >= 0, else u_L).  The
 noise coefficient is explicit, everything else implicit.
 
-StepWorkspace.advance takes one step of one path.  The Jacobian J is one
-formula: the sum of three summands with fixed entries (the diagonal
-m (1 - tau beta'(u)), the two-point flux stiffness tau A and the upwind
-convection scaled by f'(u) of each entry's column); only their values depend
-on the state.  Which solver runs is decided once per workspace, from the
-regime ProblemSpec derives from its coefficients.  For affine f and beta
-(the rate-study presets) J is constant and factorized once by SuperLU, and
-the step solves J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly: Newton's
-first iterate.  The true residual (with f, beta, g) is then checked, and
-Newton continues on the same factorization while it is above tolerance, as
-for a coefficient that is affine on the samples only.  Other coefficients
-run Newton with the three summands added at every iterate straight into
-band storage and factorized by LAPACK's banded LU with partial pivoting
-(dgbtrf/dgbtrs), whose cost is O(n b^2) for half-bandwidth b.  Every solve
-has one right-hand side: with several, the BLAS kernels behind SuperLU can
-change a column's bits with the number of columns.
+StepWorkspace.advance takes one step of one path, or, on a Newton
+workspace, of a batch of paths.  The Jacobian J is one formula: the sum of
+three summands with fixed entries (the diagonal m (1 - tau beta'(u)), the
+two-point flux stiffness tau A and the upwind convection scaled by f'(u) of
+each entry's column); only their values depend on the state.  Which solver
+runs is decided once per workspace, from the regime ProblemSpec derives
+from its coefficients.  For affine f and beta (the rate-study presets) J is
+constant and factorized once by SuperLU, and the step solves
+J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly: Newton's first iterate.  The
+true residual (with f, beta, g) is then checked, and Newton continues on
+the same factorization while it is above tolerance, as for a coefficient
+that is affine on the samples only.  These workspaces step one path per
+call.  Other coefficients run Newton on a batch of k paths: per iteration,
+the paths still above tolerance share one residual evaluation on their
+(k', n) block and one evaluation of the Jacobian's summands, and each path
+then adds its summands into LAPACK band storage and takes its own banded LU
+with partial pivoting (dgbtrf, cost O(n b^2) for half-bandwidth b) and its
+own single-column dgbtrs.  So a path's iterates, iteration count and
+residuals do not depend on the batch it runs in.  Every solve has one
+right-hand side: with several, the BLAS kernels behind SuperLU can change a
+column's bits with the number of columns.
 
 The velocity is time-independent: one workspace per (mesh, tau) holds its
 edge average, evaluated once on (0, tau], and integrate_workspace steps
@@ -159,10 +164,12 @@ class StepWorkspace:
     column of every stored entry of the Jacobian's summands.  Building it
     warns when tau * problem.lipschitz_beta exceeds STABILITY_MARGIN and
     picks the solver from problem.affine: one reusable SuperLU factorization
-    of the constant Jacobian (`lu`), or, with `lu` None, a banded LU of the
-    summands' values added at fixed positions into LAPACK band storage at
-    every Newton iteration, with no sparse-matrix construction.  Monte Carlo
-    drivers build a workspace per level once and push many paths through it.
+    of the constant Jacobian (`lu`), or, with `lu` None, a banded LU per
+    path and Newton iteration.  The band is filled in one reused buffer from
+    a stored copy of the constant tau A band plus the state-dependent
+    summands at fixed positions, with no sparse-matrix construction.  Monte
+    Carlo drivers build a workspace per level once and push many paths
+    through it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,
@@ -202,36 +209,46 @@ class StepWorkspace:
                                       for i, j in entries)
             self._band_pos = [j * (3 * b + 1) + 2 * b + i - j
                               for i, j in entries]
+            # adding the diagonal to tau A gives the bits of tau A added to
+            # the diagonal: the summands commute, and convection comes last
+            self._stiffness_band = np.zeros(n * (3 * b + 1))
+            self._stiffness_band[self._band_pos[1]] += self._summands(
+                np.zeros(n))[1]
+            self._band = np.empty_like(self._stiffness_band)
 
     def residual(self, candidate: np.ndarray, previous: np.ndarray,
                  d_w: float) -> np.ndarray:
         """Per-cell residual of the implicit system at a candidate state."""
         return self._implicit(candidate) - self._explicit(previous, d_w)
 
-    def _explicit(self, previous: np.ndarray, d_w: float) -> np.ndarray:
-        """The step's right-hand side m (u^{n-1} + g(u^{n-1}) dW)."""
+    def _explicit(self, previous: np.ndarray, d_w) -> np.ndarray:
+        """The step's right-hand side m (u^{n-1} + g(u^{n-1}) dW); a (k, n)
+        batch takes d_w of shape (k, 1)."""
         return self.m * (previous + np.asarray(self.problem.g(previous)) * d_w)
 
     def _implicit(self, candidate: np.ndarray) -> np.ndarray:
-        """The implicit part m u + tau A u + tau div(v f(u)) - tau m beta(u):
-        the residual is _implicit - _explicit."""
+        """The implicit part m u + tau A u + tau div(v f(u)) - tau m beta(u)
+        of each row: the residual is _implicit - _explicit.  A (k, n) batch
+        is multiplied as (n, k) columns, each summed in the order of one
+        vector's product."""
         p = self.problem
-        r = candidate * self.m + self.tau * (self.stiffness @ candidate)
+        r = candidate * self.m + self.tau * (self.stiffness @ candidate.T).T
         if self.conv is not None:
-            r += self.conv @ np.asarray(p.f(candidate))
+            r += (self.conv @ np.asarray(p.f(candidate)).T).T
         r -= self.tau * self.m * np.asarray(p.beta(candidate))
         return r
 
     def _summands(self, candidate: np.ndarray) -> list[np.ndarray]:
-        """The values of the Jacobian's summands at a candidate state, in
-        summation order: diag(m (1 - tau beta'(u))), tau A, conv diag(f'(u))."""
+        """The values of the Jacobian's summands at a candidate state (one
+        row per state of a batch, except the constant tau A), in summation
+        order: diag(m (1 - tau beta'(u))), tau A, conv diag(f'(u))."""
         p = self.problem
         values = [self.m * (1.0 - self.tau * np.asarray(p.beta_prime(candidate))),
                   self.tau * self.stiffness.data]
         if self.conv is not None:
             # conv @ diag(f'(u)), by scaling each stored entry by its column
-            values.append(self.conv.data
-                          * np.asarray(p.f_prime(candidate))[self.conv.indices])
+            values.append(self.conv.data * np.asarray(
+                p.f_prime(candidate))[..., self.conv.indices])
         return values
 
     def jacobian(self, candidate: np.ndarray) -> sp.csr_matrix:
@@ -247,31 +264,41 @@ class StepWorkspace:
         constant Jacobian, or by a banded LU of the one at the candidate."""
         if self.lu is not None:
             return self.lu.solve(rhs)
-        return self._band_solve(candidate, rhs)
+        return self._band_solve(self._summands(candidate)[::2], rhs)
 
-    def _band_solve(self, candidate: np.ndarray,
+    def _band_solve(self, varying: list[np.ndarray],
                     rhs: np.ndarray) -> np.ndarray:
-        """Solve J(candidate) x = rhs by a banded LU with partial pivoting."""
+        """Solve J x = rhs by a banded LU with partial pivoting, for the
+        state-dependent summands of one state (`_summands(u)[::2]`: the
+        diagonal, then the convection when there is one)."""
         b = self._half_band
-        n = self.mesh.n_cells
-        band = np.zeros(n * (3 * b + 1))
-        for pos, values in zip(self._band_pos, self._summands(candidate)):
+        band = self._band
+        np.copyto(band, self._stiffness_band)
+        for pos, values in zip(self._band_pos[::2], varying):
             band[pos] += values
-        lu, piv, info = dgbtrf(band.reshape(n, 3 * b + 1).T, b, b,
+        lu, piv, info = dgbtrf(band.reshape(-1, 3 * b + 1).T, b, b,
                                overwrite_ab=True)
         if info > 0:
             raise SolverError("singular Jacobian")
         return dgbtrs(lu, b, b, rhs, piv, overwrite_b=True)[0]
 
-    def advance(self, previous: np.ndarray, d_w: float,
-                params: StepperParams) -> tuple[np.ndarray, int, float]:
+    def advance(self, previous: np.ndarray, d_w,
+                params: StepperParams) -> tuple:
         """One implicit step; returns (state, Newton iterations, residual norm).
 
         With a constant Jacobian the first iterate is the direct solve of
         J u = m (u^{n-1} + g(u^{n-1}) dW) and counts as one iteration; the
         true residual decides whether Newton continues.  Raises StepFailure
-        when the tolerance is missed within the iteration budget.
+        when the tolerance is missed within the iteration budget.  On a
+        Newton workspace `previous` may also be a (k, n) batch with k
+        increments, which returns (k, n) states and (k,) iterations and
+        norms (_advance_batch).
         """
+        if np.ndim(previous) == 2:
+            if self.lu is not None:
+                raise ValueError("a workspace with a constant Jacobian steps "
+                                 "one path per call")
+            return self._advance_batch(previous, d_w, params)
         scale = max(1.0, float(np.sqrt(ops.l2_norm_sq(self.mesh, previous))))
         tol = params.newton_tol * scale
         max_it = params.max_newton_iterations
@@ -288,10 +315,51 @@ class StepWorkspace:
             if rnorm <= tol:
                 return u, it, rnorm
             if it == max_it:
-                raise StepFailure(
-                    f"Newton stalled at residual {rnorm:.3e} after {max_it} "
-                    f"iterations", residual=rnorm)
+                raise _stalled(rnorm, max_it)
             u = u + self._solve(u, -r)
+
+    def _advance_batch(self, previous: np.ndarray, d_w: np.ndarray,
+                       params: StepperParams) -> tuple:
+        """Newton from u^{n-1} on every row of a batch, each row's arithmetic
+        that of advance on it alone.  The rows still above tolerance share
+        each residual and summand evaluation; a row leaves the active block
+        once its residual meets its tolerance."""
+        # one vector norm per row: a (k, n) @ (n,) product may sum in
+        # another order
+        tol = params.newton_tol * np.array(
+            [max(1.0, float(np.sqrt(ops.l2_norm_sq(self.mesh, p))))
+             for p in previous])
+        rhs = self._explicit(previous, np.reshape(d_w, (-1, 1)))
+        u = np.empty_like(previous)
+        iterations = np.zeros(len(u), dtype=int)
+        norms = np.zeros(len(u))
+        active, cand = np.arange(len(u)), previous.copy()
+        for it in range(params.max_newton_iterations + 1):
+            r = self._implicit(cand) - rhs
+            rnorm = np.sqrt(np.sum(r * r / self.m, axis=1))
+            if not np.isfinite(rnorm).all():
+                raise SolverError("singular Jacobian (non-finite state)")
+            done = rnorm <= tol
+            if done.any():
+                u[active[done]] = cand[done]
+                iterations[active[done]] = it
+                norms[active[done]] = rnorm[done]
+                if done.all():
+                    return u, iterations, norms
+                keep = ~done
+                active, cand, r = active[keep], cand[keep], r[keep]
+                rhs, tol, rnorm = rhs[keep], tol[keep], rnorm[keep]
+            if it == params.max_newton_iterations:
+                raise _stalled(float(rnorm[0]), it)
+            varying = self._summands(cand)[::2]
+            for i in range(len(cand)):
+                cand[i] += self._band_solve([values[i] for values in varying],
+                                            -r[i])
+
+
+def _stalled(rnorm: float, max_it: int) -> StepFailure:
+    return StepFailure(f"Newton stalled at residual {rnorm:.3e} after "
+                       f"{max_it} iterations", residual=rnorm)
 
 
 def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
@@ -330,17 +398,23 @@ def build_workspace(problem: ProblemSpec, mesh: TensorMesh, tau: float,
 
 def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
                         increments: np.ndarray, params: StepperParams,
-                        rows: np.ndarray | None = None,
-                        ) -> tuple[np.ndarray, list[int], list[float]]:
-    """The time-stepping loop: drive a whole trajectory through one
+                        rows: np.ndarray | None = None) -> tuple:
+    """The time-stepping loop: drive whole trajectories through one
     prebuilt workspace.
 
     Returns (states[rows], per-step Newton iterations, per-step residual
     norms).  `rows` is a strictly increasing array of step indices in
     [0, N]; only those states are stored, so a caller that reads a few time
     levels holds a few rows instead of all N + 1.  None keeps every state.
+
+    increments of shape (N,) drive one path and return states of shape
+    (len(rows), n) with the iterations and norms as lists.  A (k, N) batch
+    of paths returns states (k, len(rows), n) and (k, N) arrays; a Newton
+    workspace steps a batch of two or more paths at once, and otherwise
+    each path runs in turn.  A path's results do not depend on the batch.
     """
-    n_steps = len(increments)
+    increments = np.asarray(increments, dtype=float)
+    n_steps = increments.shape[-1]
     if rows is None:
         rows = np.arange(n_steps + 1)
     rows = np.asarray(rows)
@@ -349,14 +423,36 @@ def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
             or rows.size and not 0 <= rows[0] <= rows[-1] <= n_steps):
         raise ValueError(f"rows must be strictly increasing step indices in "
                          f"[0, {n_steps}], got {rows!r}")
-    states = np.empty((len(rows), len(u0_values)))
-    u = np.asarray(u0_values, dtype=float)
+    u0 = np.asarray(u0_values, dtype=float)
+    if increments.ndim == 1:
+        states = np.empty((len(rows), len(u0)))
+        return (states, *_march(ws, u0, increments, params, rows, states))
+    k = len(increments)
+    states = np.empty((k, len(rows), len(u0)))
+    if ws.lu is None and k > 1:
+        # step-major: (N, k) increments, states written through a
+        # (len(rows), k, n) view
+        iterations, residuals = _march(ws, np.tile(u0, (k, 1)), increments.T,
+                                       params, rows, states.swapaxes(0, 1))
+        return (states, np.reshape(iterations, (n_steps, k)).T,
+                np.reshape(residuals, (n_steps, k)).T)
+    runs = [_march(ws, u0, inc, params, rows, out)
+            for inc, out in zip(increments, states)]
+    return (states, np.reshape([its for its, _ in runs], (k, n_steps)),
+            np.reshape([res for _, res in runs], (k, n_steps)))
+
+
+def _march(ws: StepWorkspace, u: np.ndarray, increments: np.ndarray,
+           params: StepperParams, rows: np.ndarray,
+           states: np.ndarray) -> tuple[list, list]:
+    """Step u through the increments, writing the kept rows into states;
+    returns the per-step Newton iterations and residual norms."""
     kept = 0
     if rows.size and rows[0] == 0:
         states[0] = u
         kept = 1
-    iterations: list[int] = []
-    residuals: list[float] = []
+    iterations: list = []
+    residuals: list = []
     for n, d_w in enumerate(increments, start=1):
         try:
             u, it, rnorm = ws.advance(u, d_w, params)
@@ -368,7 +464,7 @@ def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
             kept += 1
         iterations.append(it)
         residuals.append(rnorm)
-    return states, iterations, residuals
+    return iterations, residuals
 
 
 def trajectory_mass_defects(traj: Trajectory, problem: ProblemSpec) -> np.ndarray:

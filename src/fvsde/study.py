@@ -62,6 +62,11 @@ HOELDER_SEPARATIONS = (1, 2, 4)
 # level's largest cell side
 SPATIAL_TAU_FACTOR = 0.5
 
+# paths a Newton workspace steps at once: they share each iteration's
+# residual and summand evaluation; the time per path-step stopped falling
+# past 16 on 16^2, and the batch holds all its paths' kept rows
+NEWTON_BATCH = 16
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -315,13 +320,16 @@ class _PathEngine:
     each level one workspace.  Each run stores only the rows its comparator
     reads (None: every state): a level keeps the rows of its node pairs and
     the reference the union of the levels' reference rows; hoelder keeps
-    every reference state.  Worker processes build their own engine.
+    every reference state.  Newton workspaces step NEWTON_BATCH paths at a
+    time, workspaces with a constant Jacobian one.  Worker processes build
+    their own engine.
     """
 
     def __init__(self, config: StudyConfig):
         self.config = config
         self.problem = get_preset(config.preset)
         self.params = StepperParams()
+        self.width = 1 if self.problem.affine else NEWTON_BATCH
         levels, (self.ref_mesh, ref_steps) = _levels(config, self.problem)
         runs = levels + [(self.ref_mesh, ref_steps)]
         rows: list[np.ndarray | None] = [None] * len(runs)
@@ -348,13 +356,24 @@ class _PathEngine:
         self.lifts = [injection_map(ws.mesh, self.ref_mesh)
                       for _, ws, _, _ in self.runs[:-1]]
 
-    def run_one(self, path_index: int):
-        path = sample_path(self.config.seed, path_index,
-                           self.config.ref_steps, self.problem.horizon)
-        states = [integrate_workspace(ws, u0, coarsen(path, n), self.params,
-                                      kept)[0]
-                  for n, ws, u0, kept in self.runs]
-        return self.compare(self, states[:-1], states[-1])
+    def run_block(self, indices: list[int]) -> list[tuple]:
+        """(comparator result, Newton iterations per run) of each path, in
+        the order of indices.  A chunk of paths holds every run's kept rows
+        until its comparisons are done."""
+        out = []
+        for start in range(0, len(indices), self.width):
+            paths = [sample_path(self.config.seed, p, self.config.ref_steps,
+                                 self.problem.horizon)
+                     for p in indices[start:start + self.width]]
+            runs = [integrate_workspace(
+                        ws, u0, np.stack([coarsen(path, n) for path in paths]),
+                        self.params, kept)[:2]
+                    for n, ws, u0, kept in self.runs]
+            for i in range(len(paths)):
+                states = [s[i] for s, _ in runs]
+                out.append((self.compare(self, states[:-1], states[-1]),
+                            [int(its[i].sum()) for _, its in runs]))
+        return out
 
 
 def _shared_nodes(engine: _PathEngine, levels, ref) -> list[np.ndarray]:
@@ -393,15 +412,14 @@ def _worker_init(config: StudyConfig) -> None:
 
 
 def _worker_block(indices: list[int]):
-    return [_WORKER_ENGINE.run_one(p) for p in indices]
+    return _WORKER_ENGINE.run_block(indices)
 
 
 def _map_paths(config: StudyConfig) -> list:
     """Per-path engine results, in path order regardless of worker count."""
     n_workers = min(config.workers, config.paths)
     if n_workers <= 1:
-        engine = _PathEngine(config)
-        return [engine.run_one(p) for p in range(config.paths)]
+        return _PathEngine(config).run_block(list(range(config.paths)))
     blocks = [list(map(int, b))
               for b in np.array_split(np.arange(config.paths), n_workers)
               if len(b)]
@@ -418,26 +436,28 @@ def _map_paths(config: StudyConfig) -> list:
 # Studies
 # ---------------------------------------------------------------------------
 
-def _spatial_rows(problem, levels) -> list[RateRow]:
-    """Deterministic mesh-refinement sweep against the closed-form solution.
+def _spatial_rows(problem, levels) -> tuple[list[RateRow], list[int]]:
+    """Deterministic mesh-refinement sweep against the closed-form solution,
+    and each level's Newton iterations.
 
     Time steps scale like h^2 so the implicit Euler error stays subdominant;
     the error column is the discrete L2 distance between the final state and
     the cell averages of the exact solution.
     """
     params = StepperParams()
-    rows = []
+    rows, iterations = [], []
     for level, (mesh, n_steps) in enumerate(levels):
         tau = TimeGrid(n_steps, problem.horizon).tau
         ws = build_workspace(problem, mesh, tau)
         u0 = cell_average(problem.u0, mesh).values
-        (final,), _, _ = integrate_workspace(ws, u0, np.zeros(n_steps), params,
-                                             np.array([n_steps]))
+        (final,), its, _ = integrate_workspace(ws, u0, np.zeros(n_steps),
+                                               params, np.array([n_steps]))
         exact = cell_average(
             lambda x: problem.exact_solution(x, problem.horizon), mesh).values
         err_sq = float(l2_norm_sq(mesh, final - exact))
         rows.append(RateRow(level, mesh.size_h, tau, 1, err_sq, 0.0))
-    return rows
+        iterations.append(sum(its))
+    return rows, iterations
 
 
 def run_rate_study(config: StudyConfig) -> list[RateReport]:
@@ -455,6 +475,10 @@ def run_rate_study(config: StudyConfig) -> list[RateReport]:
     squared increments of the reference run against the separation |t - s|,
     dyadic multiples of the step with anchors over the whole trajectory;
     the expected slope is about 1 in both norms.
+
+    Each report's metadata counts the `steps` and `newton_iterations` of
+    every run, summed over the paths in path order: the levels, then the
+    reference (spatial: one entry per level).
     """
     config.validate()
     study = config.study
@@ -467,11 +491,16 @@ def run_rate_study(config: StudyConfig) -> list[RateReport]:
     else:
         extra = {"mesh_regularity": ref[0].regularity}
     if study == "spatial":
-        md = _base_metadata(config, problem,
-                            {**extra, "tau_rule":
-                             f"{SPATIAL_TAU_FACTOR}*h_axis^2"})
-        return [_report(study, _spatial_rows(problem, levels), "h", md)]
-    results = _map_paths(config)
+        rows, iterations = _spatial_rows(problem, levels)
+        md = _base_metadata(config, problem, {
+            **extra, "tau_rule": f"{SPATIAL_TAU_FACTOR}*h_axis^2",
+            "steps": [n for _, n in levels], "newton_iterations": iterations})
+        return [_report(study, rows, "h", md)]
+    results, iterations = zip(*_map_paths(config))
+    runs = levels + [ref]
+    extra["steps"] = [n * config.paths for _, n in runs]
+    extra["newton_iterations"] = [sum(its[i] for its in iterations)
+                                  for i in range(len(runs))]
     if study == "hoelder":
         md = _base_metadata(config, problem, {
             **extra, "fine_steps": config.ref_steps,

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
-criterion.  The stochastic studies here are the full-size desk-scale runs
-(M = 64 paths); the whole module takes a couple of minutes.
+criterion, and `pytest -m "not acceptance"` to run every other test.  The
+stochastic studies here are the full-size desk-scale runs (M = 64 paths);
+the whole module takes a couple of minutes.
 """
 
 import math
@@ -20,6 +21,8 @@ from fvsde.presets import get_preset
 from fvsde.projections import SmoothFunctionSpec, projection_error_report
 from fvsde.scheme import energy_balance_defects, run_path
 from fvsde.study import default_config, run_rate_study
+
+pytestmark = pytest.mark.acceptance
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 

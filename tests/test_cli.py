@@ -224,6 +224,21 @@ def test_newton_path_csv_identical_across_runs_and_workers(tmp_path):
     assert all(other == first for other in others)
 
 
+def test_newton_csv_does_not_depend_on_path_chunking(tmp_path):
+    # workers take blocks of 5, 3 + 2 and 2 + 2 + 1 paths; 17 paths cross
+    # the 16-path Newton batch serially and split 9 + 8 across two workers
+    args = ["temporal", "--preset", "nonlinear", "--mesh", "8x8",
+            "--steps", "4,8", "--ref-steps", "32"]
+    for paths, worker_counts in (("5", "123"), ("17", "12")):
+        outs = [tmp_path / f"p{paths}w{workers}" for workers in worker_counts]
+        for out, workers in zip(outs, worker_counts):
+            assert main(args + ["--paths", paths, "--workers", workers,
+                                "--out", str(out)]) == 0
+        for name in ("temporal_rates.csv", "temporal_summary.json"):
+            first, *others = (_read(out / name) for out in outs)
+            assert all(other == first for other in others), (paths, name)
+
+
 def test_hoelder_subcommand_emits_both_tables(tmp_path):
     out = tmp_path / "h"
     code = main(["hoelder", "--mesh", "8x8", "--ref-steps", "64",

@@ -487,3 +487,97 @@ def test_integrate_workspace_rejects_bad_rows(rows):
     with pytest.raises(ValueError, match="rows"):
         integrate_workspace(ws, u0, np.zeros(8), StepperParams(),
                             np.array(rows))
+
+
+_GRADED = [[0.1, 0.15, 0.2, 0.25, 0.3], [0.5, 0.3, 0.2]]
+
+
+@pytest.mark.parametrize("problem, cells, spacings", [
+    (get_preset("nonlinear"), (8, 8), None),          # with convection
+    (dataclasses.replace(get_preset("nonlinear"), velocity=None), (8, 8),
+     None),
+    (get_preset("nonlinear"), (5, 3), _GRADED),
+    (dataclasses.replace(get_preset("heat3d"), f=np.tanh,
+                         f_prime=lambda u: 1.0 - np.tanh(u) ** 2),
+     (3, 3, 2), None),
+    (get_preset("stochastic"), (8, 8), None),         # affine: row by row
+], ids=["nonlinear", "nonlinear_no_velocity", "nonlinear_graded",
+        "heat3d_tanh", "stochastic_affine"])
+def test_batch_width_changes_no_bit(problem, cells, spacings):
+    # every path of a batch equals its one-path run bit for bit, so the
+    # studies' outputs do not depend on how paths are chunked; a BLAS or
+    # numpy build that sums a column of a multi-vector product in another
+    # order fails here
+    mesh = build_tensor_mesh(problem.domain, cells, spacings=spacings)
+    n = 8
+    ws = build_workspace(problem, mesh, TimeGrid(n, problem.horizon).tau)
+    assert (ws.lu is None) is not problem.affine
+    u0 = cell_average(problem.u0, mesh).values
+    inc = np.stack([coarsen(sample_path(17, p, 4 * n, problem.horizon), n)
+                    for p in range(17)])
+    params = StepperParams()
+    one = [integrate_workspace(ws, u0, row, params) for row in inc]
+    for states, iterations, residuals in one:
+        assert states.shape == (n + 1, mesh.n_cells)
+        assert all(type(it) is int for it in iterations)
+        assert all(type(r) is float for r in residuals)
+    for width in (1, 2, 5, 16, 17):
+        states, iterations, residuals = integrate_workspace(
+            ws, u0, inc[:width], params)
+        assert states.shape == (width, n + 1, mesh.n_cells)
+        assert iterations.shape == residuals.shape == (width, n)
+        for p in range(width):
+            assert np.array_equal(states[p], one[p][0])
+            assert np.array_equal(iterations[p], one[p][1])
+            assert np.array_equal(residuals[p], one[p][2])
+    kept, _, _ = integrate_workspace(ws, u0, inc[:5], params, np.array([3, n]))
+    assert np.array_equal(kept, np.stack([s[[3, n]] for s, _, _ in one[:5]]))
+
+
+def test_singular_newton_jacobian_in_a_batch_is_a_solver_error():
+    # the case of test_singular_newton_jacobian_is_a_solver_error, three
+    # paths at once
+    problem = _custom("singular", 1.0, beta=lambda u: 4.0 * np.asarray(u),
+                      beta_prime=lambda u: np.full_like(u, 4.0), f=np.tanh,
+                      f_prime=lambda u: 1.0 - np.tanh(u)**2, horizon=0.25)
+    mesh = build_tensor_mesh(UNIT_SQUARE, (2, 1))
+    with pytest.warns(StabilityWarning):
+        ws = build_workspace(problem, mesh, 0.25)
+    u0 = np.ones(mesh.n_cells)
+    with pytest.raises(SolverError, match="^singular Jacobian$") as exc:
+        integrate_workspace(ws, u0, np.zeros((3, 1)), StepperParams())
+    assert not isinstance(exc.value, StepFailure)
+
+
+def test_stalled_row_of_a_batch_carries_its_step_index():
+    # from a state halfway, every path converges in two iterations a step,
+    # except path 2, whose fourth increment is 20 times larger; with two
+    # iterations allowed the batch fails where that path alone fails
+    problem = get_preset("nonlinear")
+    mesh = build_tensor_mesh(problem.domain, (8, 8))
+    n = 16
+    ws = build_workspace(problem, mesh, TimeGrid(n, problem.horizon).tau)
+    inc = np.stack([coarsen(sample_path(5, p, n, problem.horizon), n)
+                    for p in range(4)])
+    start, _, _ = integrate_workspace(ws, cell_average(problem.u0, mesh).values,
+                                      inc[0, :8], StepperParams(), np.array([8]))
+    tail = inc[:, 8:].copy()
+    tail[2, 3] *= 20.0
+    _, iterations, _ = integrate_workspace(ws, start[0], tail, StepperParams())
+    assert np.argwhere(iterations > 2).tolist() == [[2, 3]]
+    capped = StepperParams(max_newton_iterations=2)
+    with pytest.raises(StepFailure, match="^step 4: Newton stalled") as batch:
+        integrate_workspace(ws, start[0], tail, capped)
+    with pytest.raises(StepFailure) as alone:
+        integrate_workspace(ws, start[0], tail[2], capped)
+    assert batch.value.step == alone.value.step == 4
+    assert batch.value.residual == alone.value.residual > 0.0
+
+
+def test_constant_jacobian_workspace_steps_one_path_per_advance():
+    problem = get_preset("stochastic")
+    mesh = build_tensor_mesh(problem.domain, (4, 4))
+    ws = build_workspace(problem, mesh, 0.01)
+    u = np.ones((2, mesh.n_cells))
+    with pytest.raises(ValueError, match="one path per call"):
+        ws.advance(u, np.zeros(2), StepperParams())

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from fvsde.errors import ConfigError
 from fvsde.mesh import build_tensor_mesh, injection_map, refine
-from fvsde.noise import TimeGrid, sample_path
+from fvsde.noise import TimeGrid, coarsen, sample_path
 from fvsde.presets import PRESETS, closed_form_heat_reference, get_preset
 from fvsde.properties import run_property_suite
-from fvsde.scheme import run_path
+from fvsde.scheme import StepperParams, integrate_workspace, run_path
 from fvsde.stats import fit_rate, mc_mean_ci
 from fvsde.study import default_config, run_rate_study
 
@@ -247,8 +247,7 @@ def test_temporal_engine_zero_error_against_itself():
     cfg = StudyConfig(study="temporal", preset="stochastic", mesh=(6, 6),
                       levels=1, steps=(32, 16), ref_steps=32, paths=2)
     engine = _PathEngine(cfg)
-    for p in range(2):
-        errors = engine.run_one(p)      # one array of node errors per level
+    for errors, _ in engine.run_block([0, 1]):   # node errors per level
         assert errors[0][0] == 0.0
         assert errors[1][0] > 0.0
     # and validation refuses the degenerate chain before any path runs
@@ -373,15 +372,56 @@ def test_path_engine_peak_memory_is_below_half_the_reference_history(
     # a path must not hold all N_ref + 1 reference states at once
     from fvsde.study import _PathEngine
     engine = _PathEngine(default_config(study, paths=2, **overrides))
-    engine.run_one(0)                   # the first call settles lazy set-up
+    engine.run_block([0])               # the first call settles lazy set-up
     tracemalloc.start()
     try:
-        engine.run_one(1)
+        engine.run_block([1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     history = (overrides["ref_steps"] + 1) * engine.ref_mesh.n_cells * 8
     assert peak < 0.5 * history, (peak, history)
+
+
+@pytest.mark.parametrize("study, overrides", [
+    ("temporal", {"preset": "nonlinear", "mesh": (4, 4), "steps": (2, 4),
+                  "ref_steps": 8}),
+    ("coupled", {"preset": "nonlinear", "mesh": (2, 2), "levels": 2,
+                 "steps": (2, 4), "ref_steps": 8}),
+    ("hoelder", {"preset": "nonlinear", "mesh": (4, 4), "ref_steps": 8}),
+    ("temporal", {"mesh": (4, 4), "steps": (2, 4), "ref_steps": 8}),
+])
+def test_summary_counts_each_runs_steps_and_newton_iterations(study,
+                                                              overrides):
+    # levels, then the reference: the one-path sums over every path, for
+    # any worker count
+    from fvsde.study import _PathEngine
+    cfg = default_config(study, paths=3, **overrides)
+    engine = _PathEngine(cfg)
+    problem = get_preset(cfg.preset)
+    steps, iterations = [], []
+    for n, ws, u0, _ in engine.runs:
+        steps.append(n * cfg.paths)
+        iterations.append(sum(
+            sum(integrate_workspace(ws, u0, coarsen(sample_path(
+                cfg.seed, p, cfg.ref_steps, problem.horizon), n),
+                StepperParams())[1]) for p in range(cfg.paths)))
+    serial = run_rate_study(cfg)[0].metadata
+    parallel = run_rate_study(dataclasses.replace(cfg, workers=2))[0].metadata
+    assert serial["steps"] == parallel["steps"] == steps
+    assert serial["newton_iterations"] == parallel["newton_iterations"] \
+        == iterations
+    assert all(type(count) is int
+               for count in serial["steps"] + serial["newton_iterations"])
+    assert (iterations == steps) is problem.affine
+
+
+def test_spatial_summary_counts_each_levels_steps_and_iterations():
+    (report,) = run_rate_study(default_config("spatial", levels=2))
+    steps = [round(report.metadata["horizon"] / row.tau) for row in report.rows]
+    assert report.metadata["steps"] == steps
+    # the affine step is one direct solve
+    assert report.metadata["newton_iterations"] == steps
 
 
 def test_hoelder_smoke_slopes():
