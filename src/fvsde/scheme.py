@@ -11,27 +11,28 @@ dW_n, the new vector u^n solves, for every control volume K,
 with u_sigma the upstream value (u_K when v_{K,sigma} >= 0, else u_L).  The
 noise coefficient is explicit, everything else implicit.
 
-StepWorkspace.advance takes one step of one path, or, on a Newton
-workspace, of a batch of paths.  The Jacobian J is one formula: the sum of
-three summands with fixed entries (the diagonal m (1 - tau beta'(u)), the
+StepWorkspace.advance takes one step of one path, or of a block of paths,
+in one Newton loop.  The Jacobian J is one formula: the sum of three
+summands with fixed entries (the diagonal m (1 - tau beta'(u)), the
 two-point flux stiffness tau A and the upwind convection scaled by f'(u) of
-each entry's column); only their values depend on the state.  Which solver
-runs is decided once per workspace, from the regime ProblemSpec derives
-from its coefficients.  For affine f and beta (the rate-study presets) J is
-constant and factorized once by SuperLU, and the step solves
-J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly: Newton's first iterate.  The
-true residual (with f, beta, g) is then checked, and Newton continues on
-the same factorization while it is above tolerance, as for a coefficient
-that is affine on the samples only.  These workspaces step one path per
-call.  Other coefficients run Newton on a batch of k paths: per iteration,
-the paths still above tolerance share one residual evaluation on their
-(k', n) block and one evaluation of the Jacobian's summands, and each path
-then adds its summands into LAPACK band storage and takes its own banded LU
-with partial pivoting (dgbtrf, cost O(n b^2) for half-bandwidth b) and its
-own single-column dgbtrs.  So a path's iterates, iteration count and
-residuals do not depend on the batch it runs in.  Every solve has one
-right-hand side: with several, the BLAS kernels behind SuperLU can change a
-column's bits with the number of columns.
+each entry's column); only the diagonal and the convection depend on the
+state.  Which solver runs is decided once per workspace, from the regime
+ProblemSpec derives from its coefficients.  For affine f and beta (the
+rate-study presets) J is constant and factorized once by SuperLU, and the
+step solves J u = m (u^{n-1} + g(u^{n-1}) dW_n) directly: Newton's first
+iterate.  The true residual (with f, beta, g) is then checked, and Newton
+continues on the same factorization while it is above tolerance, as for a
+coefficient that is affine on the samples only.  Other coefficients run
+Newton from u^{n-1}, and each iteration adds the state-dependent summands
+into LAPACK band storage and takes a banded LU with partial pivoting
+(dgbtrf, cost O(n b^2) for half-bandwidth b) and a single-column dgbtrs.
+On a block of k paths, each iteration shares one residual evaluation and
+one summand evaluation on the (k, n) block; a path that meets its
+tolerance is frozen, and every other path takes its own solve.  So a
+path's iterates, iteration count and residuals do not depend on the block
+it runs in.  Every solve has one right-hand side: with several, the BLAS
+kernels behind SuperLU can change a column's bits with the number of
+columns.
 
 The velocity is time-independent: one workspace per (mesh, tau) holds its
 edge average, evaluated once on (0, tau], and integrate_workspace steps
@@ -160,16 +161,17 @@ class StepWorkspace:
 
     Holds the mass vector, the assembled stiffness and one sparse upwind
     convection matrix (`discrete_ops.convection_matrix`, or None without
-    convection), which the residual and the Jacobian share, and the row and
-    column of every stored entry of the Jacobian's summands.  Building it
-    warns when tau * problem.lipschitz_beta exceeds STABILITY_MARGIN and
-    picks the solver from problem.affine: one reusable SuperLU factorization
-    of the constant Jacobian (`lu`), or, with `lu` None, a banded LU per
-    path and Newton iteration.  The band is filled in one reused buffer from
-    a stored copy of the constant tau A band plus the state-dependent
-    summands at fixed positions, with no sparse-matrix construction.  Monte
-    Carlo drivers build a workspace per level once and push many paths
-    through it.
+    convection), which the residual and the Jacobian share, the constant
+    summand tau A, and the row and column of every stored entry of the
+    Jacobian's state-dependent summands.  Building it warns when
+    tau * problem.lipschitz_beta exceeds STABILITY_MARGIN and picks the
+    solver from problem.affine: one reusable SuperLU factorization of the
+    constant Jacobian (`lu`), or, with `lu` None, a banded LU per path and
+    Newton iteration.  The band is filled in one reused buffer from a
+    stored copy of the tau A band plus the state-dependent summands at
+    fixed positions, with no sparse-matrix construction.  Monte Carlo
+    drivers build a workspace per level once and push many paths through
+    it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,
@@ -186,13 +188,16 @@ class StepWorkspace:
         self.m = mesh.measures
         self.stiffness = self.tpfa.stiffness
         n = mesh.n_cells
+        # the constant summand of the Jacobian; the state-dependent ones, the
+        # diagonal and then the convection, are stored by row and column
+        self._tau_a = self.tau * self.stiffness
+        cells = np.arange(n)
+        self._entries = [(cells, cells)]
         self.conv = None
         if edge_vel is not None and np.any(edge_vel.values != 0.0):
             self.conv = ops.convection_matrix(edge_vel, self.tau)
-        cells = np.arange(n)
-        self._entries = [(cells, cells)] + [
-            (coo.row, coo.col) for coo in
-            (a.tocoo() for a in (self.stiffness, self.conv) if a is not None)]
+            coo = self.conv.tocoo()
+            self._entries.append((coo.row, coo.col))
         if problem.affine:
             try:
                 self.lu = splu(self.jacobian(np.zeros(n)).tocsc())
@@ -203,18 +208,18 @@ class StepWorkspace:
             # (3b + 1, n) band array; dgbtrf fills the top b rows.  The
             # flat positions outgrow int32 on large 3-D meshes.
             self.lu = None
-            entries = [(i.astype(np.int64), j.astype(np.int64))
-                       for i, j in self._entries]
+            tau_a = self._tau_a.tocoo()
+            entries = [(i.astype(np.int64), j.astype(np.int64)) for i, j in
+                       self._entries + [(tau_a.row, tau_a.col)]]
             self._half_band = b = max(int(np.max(np.abs(i - j), initial=0))
                                       for i, j in entries)
-            self._band_pos = [j * (3 * b + 1) + 2 * b + i - j
-                              for i, j in entries]
+            *self._band_pos, tau_a_pos = [j * (3 * b + 1) + 2 * b + i - j
+                                          for i, j in entries]
             # adding the diagonal to tau A gives the bits of tau A added to
             # the diagonal: the summands commute, and convection comes last
-            self._stiffness_band = np.zeros(n * (3 * b + 1))
-            self._stiffness_band[self._band_pos[1]] += self._summands(
-                np.zeros(n))[1]
-            self._band = np.empty_like(self._stiffness_band)
+            self._tau_a_band = np.zeros(n * (3 * b + 1))
+            self._tau_a_band[tau_a_pos] += tau_a.data
+            self._band = np.empty_like(self._tau_a_band)
 
     def residual(self, candidate: np.ndarray, previous: np.ndarray,
                  d_w: float) -> np.ndarray:
@@ -223,12 +228,12 @@ class StepWorkspace:
 
     def _explicit(self, previous: np.ndarray, d_w) -> np.ndarray:
         """The step's right-hand side m (u^{n-1} + g(u^{n-1}) dW); a (k, n)
-        batch takes d_w of shape (k, 1)."""
+        block takes d_w of shape (k, 1)."""
         return self.m * (previous + np.asarray(self.problem.g(previous)) * d_w)
 
     def _implicit(self, candidate: np.ndarray) -> np.ndarray:
         """The implicit part m u + tau A u + tau div(v f(u)) - tau m beta(u)
-        of each row: the residual is _implicit - _explicit.  A (k, n) batch
+        of each row: the residual is _implicit - _explicit.  A (k, n) block
         is multiplied as (n, k) columns, each summed in the order of one
         vector's product."""
         p = self.problem
@@ -239,12 +244,12 @@ class StepWorkspace:
         return r
 
     def _summands(self, candidate: np.ndarray) -> list[np.ndarray]:
-        """The values of the Jacobian's summands at a candidate state (one
-        row per state of a batch, except the constant tau A), in summation
-        order: diag(m (1 - tau beta'(u))), tau A, conv diag(f'(u))."""
+        """The values of the Jacobian's state-dependent summands at a
+        candidate state (one row per state of a block), in summation order:
+        diag(m (1 - tau beta'(u))), then conv diag(f'(u)) when there is
+        convection.  The constant tau A is added between them."""
         p = self.problem
-        values = [self.m * (1.0 - self.tau * np.asarray(p.beta_prime(candidate))),
-                  self.tau * self.stiffness.data]
+        values = [self.m * (1.0 - self.tau * np.asarray(p.beta_prime(candidate)))]
         if self.conv is not None:
             # conv @ diag(f'(u)), by scaling each stored entry by its column
             values.append(self.conv.data * np.asarray(
@@ -254,27 +259,19 @@ class StepWorkspace:
     def jacobian(self, candidate: np.ndarray) -> sp.csr_matrix:
         """The Jacobian of the residual at a candidate state, in CSR."""
         n = self.mesh.n_cells
-        first, *rest = (sp.csr_matrix((values, entries), shape=(n, n))
-                        for values, entries in zip(self._summands(candidate),
-                                                   self._entries))
-        return sum(rest, first)
-
-    def _solve(self, candidate: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve J(candidate) x = rhs: on the SuperLU factorization of the
-        constant Jacobian, or by a banded LU of the one at the candidate."""
-        if self.lu is not None:
-            return self.lu.solve(rhs)
-        return self._band_solve(self._summands(candidate)[::2], rhs)
+        diagonal, *convection = (
+            sp.csr_matrix((values, entries), shape=(n, n)) for values, entries
+            in zip(self._summands(candidate), self._entries))
+        return sum(convection, diagonal + self._tau_a)
 
     def _band_solve(self, varying: list[np.ndarray],
                     rhs: np.ndarray) -> np.ndarray:
         """Solve J x = rhs by a banded LU with partial pivoting, for the
-        state-dependent summands of one state (`_summands(u)[::2]`: the
-        diagonal, then the convection when there is one)."""
+        state-dependent summands of one state (`_summands(u)`)."""
         b = self._half_band
         band = self._band
-        np.copyto(band, self._stiffness_band)
-        for pos, values in zip(self._band_pos[::2], varying):
+        np.copyto(band, self._tau_a_band)
+        for pos, values in zip(self._band_pos, varying):
             band[pos] += values
         lu, piv, info = dgbtrf(band.reshape(-1, 3 * b + 1).T, b, b,
                                overwrite_ab=True)
@@ -284,77 +281,52 @@ class StepWorkspace:
 
     def advance(self, previous: np.ndarray, d_w,
                 params: StepperParams) -> tuple:
-        """One implicit step; returns (state, Newton iterations, residual norm).
+        """One implicit step of one path or of a block of paths.
 
-        With a constant Jacobian the first iterate is the direct solve of
-        J u = m (u^{n-1} + g(u^{n-1}) dW) and counts as one iteration; the
-        true residual decides whether Newton continues.  Raises StepFailure
-        when the tolerance is missed within the iteration budget.  On a
-        Newton workspace `previous` may also be a (k, n) batch with k
-        increments, which returns (k, n) states and (k,) iterations and
-        norms (_advance_batch).
+        An (n,) state with a scalar d_w returns (state, Newton iterations,
+        residual norm); a (k, n) block with (k, 1) increments returns (k, n)
+        states and (k,) iterations and norms, each row's arithmetic that of
+        advance on it alone.  With a constant Jacobian the first iterate is
+        the direct solve of J u = m (u^{n-1} + g(u^{n-1}) dW) and counts as
+        one iteration; the true residual decides whether Newton continues.
+        A row that meets its tolerance is frozen; every other row takes its
+        own solve.  Raises StepFailure, with the residual of the first such
+        row, when a row misses the tolerance within the iteration budget.
         """
-        if np.ndim(previous) == 2:
-            if self.lu is not None:
-                raise ValueError("a workspace with a constant Jacobian steps "
-                                 "one path per call")
-            return self._advance_batch(previous, d_w, params)
-        scale = max(1.0, float(np.sqrt(ops.l2_norm_sq(self.mesh, previous))))
-        tol = params.newton_tol * scale
+        block = previous.ndim == 2
+        if block:
+            # one vector norm per row: a (k, n) @ (n,) product may sum in
+            # another order
+            scale = np.sqrt([ops.l2_norm_sq(self.mesh, p) for p in previous])
+        else:
+            scale = np.sqrt(ops.l2_norm_sq(self.mesh, previous))
+        tol = params.newton_tol * np.maximum(1.0, scale)
         max_it = params.max_newton_iterations
         rhs = self._explicit(previous, d_w)
         if self.lu is not None and max_it >= 1:
-            u, first = self.lu.solve(rhs), 1
+            u, first = (np.reshape([self.lu.solve(b) for b in rhs], rhs.shape)
+                        if block else self.lu.solve(rhs)), 1
         else:
             u, first = previous.copy(), 0
+        iterations = np.full(len(u), first) if block else first
         for it in range(first, max_it + 1):
             r = self._implicit(u) - rhs
-            rnorm = float(np.sqrt(np.sum(r * r / self.m)))
-            if not np.isfinite(rnorm):
-                raise SolverError("singular Jacobian (non-finite state)")
-            if rnorm <= tol:
-                return u, it, rnorm
-            if it == max_it:
-                raise _stalled(rnorm, max_it)
-            u = u + self._solve(u, -r)
-
-    def _advance_batch(self, previous: np.ndarray, d_w: np.ndarray,
-                       params: StepperParams) -> tuple:
-        """Newton from u^{n-1} on every row of a batch, each row's arithmetic
-        that of advance on it alone.  The rows still above tolerance share
-        each residual and summand evaluation; a row leaves the active block
-        once its residual meets its tolerance."""
-        # one vector norm per row: a (k, n) @ (n,) product may sum in
-        # another order
-        tol = params.newton_tol * np.array(
-            [max(1.0, float(np.sqrt(ops.l2_norm_sq(self.mesh, p))))
-             for p in previous])
-        rhs = self._explicit(previous, np.reshape(d_w, (-1, 1)))
-        u = np.empty_like(previous)
-        iterations = np.zeros(len(u), dtype=int)
-        norms = np.zeros(len(u))
-        active, cand = np.arange(len(u)), previous.copy()
-        for it in range(params.max_newton_iterations + 1):
-            r = self._implicit(cand) - rhs
-            rnorm = np.sqrt(np.sum(r * r / self.m, axis=1))
+            rnorm = np.sqrt(np.sum(r * r / self.m, axis=-1))
+            done = rnorm <= tol
+            if done.all() if block else done:
+                return ((u, iterations, rnorm) if block
+                        else (u, int(iterations), float(rnorm)))
             if not np.isfinite(rnorm).all():
                 raise SolverError("singular Jacobian (non-finite state)")
-            done = rnorm <= tol
-            if done.any():
-                u[active[done]] = cand[done]
-                iterations[active[done]] = it
-                norms[active[done]] = rnorm[done]
-                if done.all():
-                    return u, iterations, norms
-                keep = ~done
-                active, cand, r = active[keep], cand[keep], r[keep]
-                rhs, tol, rnorm = rhs[keep], tol[keep], rnorm[keep]
-            if it == params.max_newton_iterations:
-                raise _stalled(float(rnorm[0]), it)
-            varying = self._summands(cand)[::2]
-            for i in range(len(cand)):
-                cand[i] += self._band_solve([values[i] for values in varying],
-                                            -r[i])
+            if it == max_it:
+                raise _stalled(float(np.extract(~done, rnorm)[0]), max_it)
+            iterations += ~done
+            varying = None if self.lu is not None else self._summands(u)
+            # a block's rows in turn; [...] indexes one path's whole state
+            for i in range(len(u)) if block else [...]:
+                if not done[i]:
+                    u[i] += (self.lu.solve(-r[i]) if varying is None else
+                             self._band_solve([v[i] for v in varying], -r[i]))
 
 
 def _stalled(rnorm: float, max_it: int) -> StepFailure:
@@ -409,9 +381,9 @@ def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
 
     increments of shape (N,) drive one path and return states of shape
     (len(rows), n) with the iterations and norms as lists.  A (k, N) batch
-    of paths returns states (k, len(rows), n) and (k, N) arrays; a Newton
-    workspace steps a batch of two or more paths at once, and otherwise
-    each path runs in turn.  A path's results do not depend on the batch.
+    of paths returns states (k, len(rows), n) and (k, N) arrays; one path
+    steps an (n,) state, and two or more step together as one step-major
+    block.  A path's results do not depend on the batch.
     """
     increments = np.asarray(increments, dtype=float)
     n_steps = increments.shape[-1]
@@ -424,22 +396,22 @@ def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,
         raise ValueError(f"rows must be strictly increasing step indices in "
                          f"[0, {n_steps}], got {rows!r}")
     u0 = np.asarray(u0_values, dtype=float)
-    if increments.ndim == 1:
-        states = np.empty((len(rows), len(u0)))
-        return (states, *_march(ws, u0, increments, params, rows, states))
-    k = len(increments)
+    paths = np.atleast_2d(increments)
+    k = len(paths)
     states = np.empty((k, len(rows), len(u0)))
-    if ws.lu is None and k > 1:
-        # step-major: (N, k) increments, states written through a
+    if k == 1:
+        iterations, residuals = _march(ws, u0, paths[0], params, rows,
+                                       states[0])
+    else:
+        # step-major: (N, k, 1) increments, states written through a
         # (len(rows), k, n) view
-        iterations, residuals = _march(ws, np.tile(u0, (k, 1)), increments.T,
-                                       params, rows, states.swapaxes(0, 1))
-        return (states, np.reshape(iterations, (n_steps, k)).T,
-                np.reshape(residuals, (n_steps, k)).T)
-    runs = [_march(ws, u0, inc, params, rows, out)
-            for inc, out in zip(increments, states)]
-    return (states, np.reshape([its for its, _ in runs], (k, n_steps)),
-            np.reshape([res for _, res in runs], (k, n_steps)))
+        iterations, residuals = _march(ws, np.tile(u0, (k, 1)),
+                                       paths.T[:, :, None], params, rows,
+                                       states.swapaxes(0, 1))
+    if increments.ndim == 1:
+        return states[0], iterations, residuals
+    return (states, np.reshape(iterations, (n_steps, k)).T,
+            np.reshape(residuals, (n_steps, k)).T)
 
 
 def _march(ws: StepWorkspace, u: np.ndarray, increments: np.ndarray,

@@ -88,3 +88,18 @@ def test_no_other_module_reads_the_cell_measures(name):
     assert not any(isinstance(node, ast.Attribute) and node.attr == "measures"
                    for node in ast.walk(tree)), \
         f"fvsde.{name} reads mesh.measures"
+
+
+def test_scheme_has_one_stepping_loop():
+    # one path and a block, on either solver, step through the one Newton
+    # loop of StepWorkspace.advance
+    tree = ast.parse((PACKAGE / "scheme.py").read_text())
+    stepping = [loop.lineno for loop in ast.walk(tree)
+                if isinstance(loop, (ast.For, ast.While))
+                and any(isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "_implicit"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "self"
+                        for node in ast.walk(loop))]
+    assert len(stepping) == 1, f"loops calling self._implicit: {stepping}"

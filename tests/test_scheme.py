@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ def test_banded_solve_equals_sparse_direct_solve(problem, cells, spacings):
     u = rng.standard_normal(mesh.n_cells)
     rhs = rng.standard_normal(mesh.n_cells)
     want = spla.spsolve(ws.jacobian(u).tocsc(), rhs)
-    got = ws._solve(u, rhs.copy())
+    got = ws._band_solve(ws._summands(u), rhs.copy())
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -369,30 +370,46 @@ def test_stepper_params_reject_bad_newton_settings(settings):
     assert StepperParams(max_newton_iterations=0).max_newton_iterations == 0
 
 
-def test_non_finite_step_is_a_solver_error():
+def _blowup():
     # deriving noise_factorizes compares g(s) with g(1) s, which is
     # inf * 0 at s = 0 for this g
     with np.errstate(invalid="ignore"):
-        problem = _custom("blowup", 1.0, g=lambda u: np.full_like(
+        return _custom("blowup", 1.0, g=lambda u: np.full_like(
             np.asarray(u, dtype=float), np.inf))
+
+
+def test_non_finite_step_is_a_solver_error():
     mesh = build_tensor_mesh(UNIT_SQUARE, (3, 3))
     path = NoisePath(0.2, 1, np.array([0.5]), 0, 0)
     with pytest.raises(SolverError) as info:
-        run_path(problem, mesh, TimeGrid(1, 0.2), path)
+        run_path(_blowup(), mesh, TimeGrid(1, 0.2), path)
     assert not isinstance(info.value, StepFailure)
 
 
+def test_non_finite_state_in_a_block_is_a_solver_error():
+    # the case above, three paths stepped as one block
+    mesh = build_tensor_mesh(UNIT_SQUARE, (3, 3))
+    ws = build_workspace(_blowup(), mesh, 0.2)
+    with pytest.raises(SolverError, match=r"^singular Jacobian \(non-finite "
+                                          r"state\)$") as info:
+        integrate_workspace(ws, np.ones(mesh.n_cells), np.full((3, 1), 0.5),
+                            StepperParams())
+    assert not isinstance(info.value, StepFailure)
+
+
+# beta(u) = 0.2u + 0.05 max(u - 5, 0)^3 is affine on the sample grid [-5, 5]
+# but not beyond, and the datum lies above 5: the LU of the Jacobian at zero
+# is only a chord, so some step needs a second iteration
+BEYOND_SAMPLES = dataclasses.replace(
+    get_preset("stochastic"), name="beyond_samples",
+    u0=lambda x: 6.0 + 0.5 * np.prod(np.cos(np.pi * x), axis=-1),
+    beta=lambda u: 0.2 * u + 0.05 * np.maximum(u - 5.0, 0.0) ** 3,
+    beta_prime=lambda u: 0.2 + 0.15 * np.maximum(u - 5.0, 0.0) ** 2)
+
+
 def test_direct_step_checks_the_true_residual():
-    # beta(u) = 0.2u + 0.05 max(u - 5, 0)^3 is affine on the sample grid
-    # [-5, 5] but not beyond, and the datum lies above 5: the LU of the
-    # Jacobian at zero is only a chord, so some step needs a second
-    # iteration, and every step must still meet the residual contract with
-    # the true beta
-    problem = dataclasses.replace(
-        get_preset("stochastic"),
-        u0=lambda x: 6.0 + 0.5 * np.prod(np.cos(np.pi * x), axis=-1),
-        beta=lambda u: 0.2 * u + 0.05 * np.maximum(u - 5.0, 0.0) ** 3,
-        beta_prime=lambda u: 0.2 + 0.15 * np.maximum(u - 5.0, 0.0) ** 2)
+    # every step must meet the residual contract with the true beta
+    problem = BEYOND_SAMPLES
     assert problem.affine and problem.lipschitz_beta == 0.2
     mesh = build_tensor_mesh(problem.domain, (8, 8))
     grid = TimeGrid(8, problem.horizon)
@@ -433,19 +450,26 @@ def test_run_path_refuses_a_path_with_another_horizon():
                  sample_path(1, 0, 4, 2.0 * problem.horizon))
 
 
-def test_newton_advance_matches_run_path_step():
-    problem = get_preset("diffusion")
+@pytest.mark.parametrize("preset", ["diffusion", "nonlinear"])
+def test_newton_advance_matches_run_path_step(preset):
+    # affine (a direct solve) and Newton on the banded LU
+    problem = get_preset(preset)
     mesh = build_tensor_mesh(problem.domain, (6, 6))
     prev = cell_average(problem.u0, mesh)
-    u, iterations, residual = StepWorkspace(problem, mesh, 0.01, None).advance(
-        prev.values, 0.0, StepperParams())
+    ws = build_workspace(problem, mesh, 0.01)
+    assert (ws.lu is None) is not problem.affine
+    u, iterations, residual = ws.advance(prev.values, 0.0, StepperParams())
+    assert type(u) is np.ndarray and u.shape == (mesh.n_cells,)
+    assert type(iterations) is int and type(residual) is float
     state = CellField(mesh, u)
     grid = TimeGrid(1, 0.01 * 1)
     # same tau, zero noise: one run_path step must agree bitwise
     traj = run_path(dataclasses.replace(problem, horizon=0.01),
                     mesh, grid, NoisePath(0.01, 1, np.zeros(1), 0, 0))
     assert np.array_equal(traj.states[1], state.values)
-    assert iterations <= 2
+    assert traj.newton_iterations == [iterations]
+    assert traj.residual_norms == [residual]
+    assert 1 <= iterations <= 2
     assert discrete_l2_norm(state) <= discrete_l2_norm(prev)
 
 
@@ -500,9 +524,10 @@ _GRADED = [[0.1, 0.15, 0.2, 0.25, 0.3], [0.5, 0.3, 0.2]]
     (dataclasses.replace(get_preset("heat3d"), f=np.tanh,
                          f_prime=lambda u: 1.0 - np.tanh(u) ** 2),
      (3, 3, 2), None),
-    (get_preset("stochastic"), (8, 8), None),         # affine: row by row
+    (get_preset("stochastic"), (8, 8), None),         # affine: direct only
+    (BEYOND_SAMPLES, (8, 8), None),                   # affine with chords
 ], ids=["nonlinear", "nonlinear_no_velocity", "nonlinear_graded",
-        "heat3d_tanh", "stochastic_affine"])
+        "heat3d_tanh", "stochastic_affine", "beyond_samples_affine"])
 def test_batch_width_changes_no_bit(problem, cells, spacings):
     # every path of a batch equals its one-path run bit for bit, so the
     # studies' outputs do not depend on how paths are chunked; a BLAS or
@@ -521,6 +546,10 @@ def test_batch_width_changes_no_bit(problem, cells, spacings):
         assert states.shape == (n + 1, mesh.n_cells)
         assert all(type(it) is int for it in iterations)
         assert all(type(r) is float for r in residuals)
+    if problem.affine:
+        # of the affine rows, only chords beyond the samples iterate again
+        most = max(max(iterations) for _, iterations, _ in one)
+        assert (most > 1) is (problem is BEYOND_SAMPLES)
     for width in (1, 2, 5, 16, 17):
         states, iterations, residuals = integrate_workspace(
             ws, u0, inc[:width], params)
@@ -532,6 +561,18 @@ def test_batch_width_changes_no_bit(problem, cells, spacings):
             assert np.array_equal(residuals[p], one[p][2])
     kept, _, _ = integrate_workspace(ws, u0, inc[:5], params, np.array([3, n]))
     assert np.array_equal(kept, np.stack([s[[3, n]] for s, _, _ in one[:5]]))
+
+
+@pytest.mark.parametrize("preset", ["stochastic", "nonlinear"])
+def test_empty_batch_steps_nothing(preset):
+    problem = get_preset(preset)
+    mesh = build_tensor_mesh(problem.domain, (4, 4))
+    ws = build_workspace(problem, mesh, TimeGrid(8, problem.horizon).tau)
+    states, iterations, residuals = integrate_workspace(
+        ws, cell_average(problem.u0, mesh).values, np.zeros((0, 8)),
+        StepperParams())
+    assert states.shape == (0, 9, mesh.n_cells)
+    assert iterations.shape == residuals.shape == (0, 8)
 
 
 def test_singular_newton_jacobian_in_a_batch_is_a_solver_error():
@@ -574,10 +615,23 @@ def test_stalled_row_of_a_batch_carries_its_step_index():
     assert batch.value.residual == alone.value.residual > 0.0
 
 
-def test_constant_jacobian_workspace_steps_one_path_per_advance():
+@pytest.mark.parametrize("shape", [(4096,), (1, 4096)])
+def test_one_path_allocates_no_array_per_step(shape):
+    # one path, given as (N,) or (1, N), steps an (n,) state and holds its
+    # kept rows: the peak stays far below the (N, len(rows), n) array that
+    # reading a batch size off the (N,) increments would allocate
     problem = get_preset("stochastic")
-    mesh = build_tensor_mesh(problem.domain, (4, 4))
-    ws = build_workspace(problem, mesh, 0.01)
-    u = np.ones((2, mesh.n_cells))
-    with pytest.raises(ValueError, match="one path per call"):
-        ws.advance(u, np.zeros(2), StepperParams())
+    mesh = build_tensor_mesh(problem.domain, (2, 1))
+    n = shape[-1]
+    ws = build_workspace(problem, mesh, TimeGrid(n, problem.horizon).tau)
+    u0 = cell_average(problem.u0, mesh).values
+    inc = np.full(shape, 0.01)
+    rows = np.arange(0, n + 1, 16)
+    tracemalloc.start()
+    try:
+        states, _, _ = integrate_workspace(ws, u0, inc, StepperParams(), rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert states.shape == shape[:-1] + (len(rows), mesh.n_cells)
+    assert peak < n * len(rows) * mesh.n_cells * 8 / 10
