@@ -34,9 +34,8 @@ it runs in.  Every solve has one right-hand side: with several, the BLAS
 kernels behind SuperLU can change a column's bits with the number of
 columns.
 
-The velocity is time-independent: one workspace per (mesh, tau) holds its
-edge average, evaluated once on (0, tau], and integrate_workspace steps
-every path through it in one loop.
+One workspace per (mesh, tau) derives its convection from the problem's
+velocity, and integrate_workspace steps every path through it in one loop.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from . import discrete_ops as ops
-from .discrete_ops import EdgeVelocity, TpfaOperator
+from .discrete_ops import TpfaOperator
 from .errors import CouplingError, SolverError, StabilityWarning, StepFailure
 from .fields import CellField
 from .mesh import TensorMesh, cell_average
@@ -157,11 +156,13 @@ class Trajectory:
 
 
 class StepWorkspace:
-    """Precomputed per-(mesh, tau, edge velocity) assembly data.
+    """Precomputed per-(mesh, tau) assembly data.
 
     Holds the mass vector, the assembled stiffness and one sparse upwind
     convection matrix (`discrete_ops.convection_matrix`, or None without
-    convection), which the residual and the Jacobian share, the constant
+    convection), which the residual and the Jacobian share.  The velocity
+    is time-independent, so its edge average is evaluated once, on
+    (0, tau], and serves every step.  It also holds the constant
     summand tau A, and the row and column of every stored entry of the
     Jacobian's state-dependent summands.  Building it warns when
     tau * problem.lipschitz_beta exceeds STABILITY_MARGIN and picks the
@@ -175,7 +176,7 @@ class StepWorkspace:
     """
 
     def __init__(self, problem: ProblemSpec, mesh: TensorMesh, tau: float,
-                 edge_vel: EdgeVelocity | None, tpfa: TpfaOperator | None = None):
+                 tpfa: TpfaOperator | None = None):
         self.problem = problem
         self.mesh = mesh
         self.tau = float(tau)
@@ -194,10 +195,12 @@ class StepWorkspace:
         cells = np.arange(n)
         self._entries = [(cells, cells)]
         self.conv = None
-        if edge_vel is not None and np.any(edge_vel.values != 0.0):
-            self.conv = ops.convection_matrix(edge_vel, self.tau)
-            coo = self.conv.tocoo()
-            self._entries.append((coo.row, coo.col))
+        if problem.velocity is not None:
+            edge_vel = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
+            if np.any(edge_vel.values != 0.0):
+                self.conv = ops.convection_matrix(edge_vel, self.tau)
+                coo = self.conv.tocoo()
+                self._entries.append((coo.row, coo.col))
         if problem.affine:
             try:
                 self.lu = splu(self.jacobian(np.zeros(n)).tocsc())
@@ -319,7 +322,10 @@ class StepWorkspace:
             if not np.isfinite(rnorm).all():
                 raise SolverError("singular Jacobian (non-finite state)")
             if it == max_it:
-                raise _stalled(float(np.extract(~done, rnorm)[0]), max_it)
+                stalled = float(np.extract(~done, rnorm)[0])
+                raise StepFailure(f"Newton stalled at residual {stalled:.3e} "
+                                  f"after {max_it} iterations",
+                                  residual=stalled)
             iterations += ~done
             varying = None if self.lu is not None else self._summands(u)
             # a block's rows in turn; [...] indexes one path's whole state
@@ -329,9 +335,8 @@ class StepWorkspace:
                              self._band_solve([v[i] for v in varying], -r[i]))
 
 
-def _stalled(rnorm: float, max_it: int) -> StepFailure:
-    return StepFailure(f"Newton stalled at residual {rnorm:.3e} after "
-                       f"{max_it} iterations", residual=rnorm)
+# perfbench/replay.py builds its workspaces under this name
+build_workspace = StepWorkspace
 
 
 def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
@@ -349,23 +354,11 @@ def run_path(problem: ProblemSpec, mesh: TensorMesh, grid: TimeGrid,
             f"path horizon {path.horizon!r} differs from grid horizon "
             f"{grid.horizon!r}")
     increments = coarsen(path, grid.n_steps)
-    ws = build_workspace(problem, mesh, grid.tau)
+    ws = StepWorkspace(problem, mesh, grid.tau)
     u0 = cell_average(problem.u0, mesh).values
     states, iterations, residuals = integrate_workspace(
         ws, u0, increments, params or StepperParams())
     return Trajectory(mesh, grid, states, iterations, residuals, increments)
-
-
-def build_workspace(problem: ProblemSpec, mesh: TensorMesh, tau: float,
-                    tpfa: TpfaOperator | None = None) -> StepWorkspace:
-    """Workspace for every step of size tau on the mesh.
-
-    The velocity is time-independent, so its edge average is evaluated once,
-    on (0, tau], and serves every step.
-    """
-    ev = (None if problem.velocity is None
-          else ops.edge_velocity(problem.velocity, mesh, 0.0, tau))
-    return StepWorkspace(problem, mesh, tau, ev, tpfa)
 
 
 def integrate_workspace(ws: StepWorkspace, u0_values: np.ndarray,

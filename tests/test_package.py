@@ -103,3 +103,23 @@ def test_scheme_has_one_stepping_loop():
                         and node.func.value.id == "self"
                         for node in ast.walk(loop))]
     assert len(stepping) == 1, f"loops calling self._implicit: {stepping}"
+
+
+def test_no_module_has_a_global_statement():
+    # a worker's state lives in its call, not in a module global
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert not found, f"global statements at {found}"
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    # the library examples share one namespace, as a reader runs them
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out

@@ -62,7 +62,7 @@ def test_residual_zero_at_diffusive_steady_state():
     problem = _custom("steady", 3.0)
     mesh = build_tensor_mesh(UNIT_SQUARE, (4, 4))
     state = np.full(16, 3.0)
-    r = StepWorkspace(problem, mesh, 0.05, None).residual(state, state, 0.0)
+    r = StepWorkspace(problem, mesh, 0.05).residual(state, state, 0.0)
     np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
 
@@ -75,8 +75,7 @@ def test_residual_sum_telescopes_to_closed_form():
     cand = rng.standard_normal(36)
     prev = rng.standard_normal(36)
     tau, d_w = 0.01, 0.37
-    ev = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
-    r = StepWorkspace(problem, mesh, tau, ev).residual(cand, prev, d_w)
+    r = StepWorkspace(problem, mesh, tau).residual(cand, prev, d_w)
     m = mesh.measures
     expected = (np.sum(m * (cand - prev))
                 - d_w * np.sum(m * problem.g(prev))
@@ -133,8 +132,7 @@ def test_jacobian_matches_finite_differences():
     problem = get_preset("nonlinear")
     mesh = build_tensor_mesh(problem.domain, (4, 4))
     tau = 0.01
-    ev = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
-    ws = StepWorkspace(problem, mesh, tau, ev)
+    ws = StepWorkspace(problem, mesh, tau)
     rng = np.random.default_rng(17)
     u = rng.standard_normal(16)
     prev = rng.standard_normal(16)

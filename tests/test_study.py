@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvsde.errors import ConfigError
+from fvsde import cli, study
+from fvsde.errors import ConfigError, StepFailure
 from fvsde.mesh import build_tensor_mesh, injection_map, refine
 from fvsde.noise import TimeGrid, coarsen, sample_path
 from fvsde.presets import PRESETS, closed_form_heat_reference, get_preset
@@ -301,6 +303,31 @@ def test_temporal_worker_count_invariance():
     (parallel,) = run_rate_study(dataclasses.replace(cfg, workers=3))
     assert serial.rows == parallel.rows
     assert serial.slope == parallel.slope
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched settings reach workers only by fork")
+def test_step_failure_in_a_worker_reaches_the_caller(monkeypatch, capsys,
+                                                     tmp_path):
+    # with no Newton iteration allowed, the first step of path 0 stalls;
+    # a worker process raises the same failure as the serial run
+    monkeypatch.setattr(study, "StepperParams",
+                        lambda: StepperParams(max_newton_iterations=0))
+    cfg = default_config("temporal", mesh=(4, 4), steps=(2, 4), ref_steps=8,
+                         paths=2)
+    failures = []
+    for workers in (1, 2):
+        with pytest.raises(StepFailure) as exc:
+            run_rate_study(dataclasses.replace(cfg, workers=workers))
+        failures.append((exc.value.step, exc.value.residual))
+    assert failures[0] == failures[1]
+    assert failures[0][0] == 1 and failures[0][1] > 0.0
+    code = cli.main(["temporal", "--mesh", "4x4", "--steps", "2,4",
+                     "--ref-steps", "8", "--paths", "2", "--workers", "2",
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.startswith("solver failure: ") for line in lines] == [True]
 
 
 def test_coupled_study_smoke():
