@@ -8,14 +8,12 @@ __version__ = "0.1.0"
 from .errors import (CompatibilityWarning, ConfigError, CouplingError,
                      FvsdeError, MeshError, SolverError, StabilityWarning,
                      StepFailure)
-from .fields import CellField
-from .mesh import (AdmissibilityReport, TensorMesh, build_tensor_mesh,
-                   cell_average, inject, injection_map, refine,
-                   validate_admissibility)
-from .discrete_ops import (EdgeVelocity, TpfaOperator, dibp_gap,
-                           discrete_h1_seminorm, discrete_l2_norm,
-                           edge_velocity, l2_error_vs_function, mass,
-                           poincare_constant_estimate, upwind_cells)
+from .mesh import (CellField, TensorMesh, build_tensor_mesh, cell_average,
+                   injection_map, refine, validate_admissibility)
+from .discrete_ops import (TpfaOperator, dibp_gap, edge_velocity,
+                           h1_seminorm_sq, integral, l2_error_vs_function,
+                           l2_norm_sq, poincare_constant_estimate,
+                           upwind_cells)
 from .noise import NoisePath, TimeGrid, coarsen, sample_path
 from .scheme import ProblemSpec, StepperParams, Trajectory, run_path
 from .projections import (SmoothFunctionSpec, centered_projection,

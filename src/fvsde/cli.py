@@ -267,9 +267,9 @@ def _run_mesh_info(args: argparse.Namespace) -> int:
     if args.out:
         _make_out_dir(args.out)
     mesh = build_tensor_mesh([(0.0, 1.0)] * len(counts), counts)
-    report = validate_admissibility(mesh)
+    violations = validate_admissibility(mesh)
     summary = mesh.to_summary_dict()
-    summary["admissibility_violations"] = report.violations
+    summary["admissibility_violations"] = violations
     if args.out:
         path = os.path.join(args.out, "mesh.json")
         write_json(path, summary)
@@ -279,7 +279,7 @@ def _run_mesh_info(args: argparse.Namespace) -> int:
         write(f"cells={summary['n_cells']} interior_edges="
               f"{summary['n_interior_edges']} h={fmt(summary['size_h'])} "
               f"reg={fmt(summary['regularity'])}\n")
-    return 0 if report.ok else 1
+    return 1 if violations else 0
 
 
 def main(argv: list[str] | None = None) -> int:

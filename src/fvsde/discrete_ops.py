@@ -2,7 +2,9 @@
 and the discrete identities (integration by parts, Poincare) used by the scheme
 and its diagnostics.
 
-Conventions, for a field w_h = sum_K w_K 1_K:
+Every operator takes the mesh and plain arrays: cell values w of shape
+(..., n_cells), one row per field, and face values v of shape
+(n_interior_edges,).  Conventions, for a field w_h = sum_K w_K 1_K:
 
     int_Lambda w_h = sum_K m_K w_K
     ||w_h||_2^2   = sum_K m_K w_K^2
@@ -16,7 +18,6 @@ positive semidefinite with kernel exactly the constants on a connected mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,20 +25,15 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from .errors import MeshError, SolverError
-from .fields import CellField
+from .errors import SolverError
 from .mesh import TensorMesh, box_rule, cell_average, gauss_rule
 
 __all__ = [
-    "EdgeVelocity",
     "TpfaOperator",
     "integral",
     "l2_norm_sq",
     "h1_seminorm_sq",
     "upwind_dissipation",
-    "discrete_l2_norm",
-    "mass",
-    "discrete_h1_seminorm",
     "edge_velocity",
     "upwind_cells",
     "convection_matrix",
@@ -48,20 +44,6 @@ __all__ = [
     "poincare_constant_estimate",
     "l2_error_vs_function",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeVelocity:
-    """Space-time averaged normal velocities v_{K,sigma} on interior faces.
-
-    `values[j]` is the average of v . n_{K,sigma} over face j and the time
-    interval, seen from the first (K) cell of the stored orientation; the
-    value seen from L is its negation.  Boundary faces carry no entry
-    (tangential velocity assumed).
-    """
-
-    mesh: TensorMesh
-    values: np.ndarray
 
 
 class TpfaOperator:
@@ -97,14 +79,12 @@ def h1_seminorm_sq(mesh: TensorMesh, values: np.ndarray) -> np.ndarray:
     return _squared_jumps(mesh, values, mesh.transmissibilities)
 
 
-def upwind_dissipation(edge_vel: EdgeVelocity,
+def upwind_dissipation(mesh: TensorMesh, v: np.ndarray,
                        values: np.ndarray) -> np.ndarray:
     """sum_sigma m_sigma |v_sigma| (w_K - w_L)^2 of each row of a
     (..., n_cells) array: twice the energy the upwind convection of f = id
     dissipates per unit time, beside the divergence term."""
-    mesh = edge_vel.mesh
-    return _squared_jumps(mesh, values,
-                          mesh.edge_measures * np.abs(edge_vel.values))
+    return _squared_jumps(mesh, values, mesh.edge_measures * np.abs(v))
 
 
 def _squared_jumps(mesh: TensorMesh, values: np.ndarray,
@@ -115,23 +95,14 @@ def _squared_jumps(mesh: TensorMesh, values: np.ndarray,
     return (jumps * jumps) @ weights
 
 
-def discrete_l2_norm(field: CellField) -> float:
-    return float(np.sqrt(l2_norm_sq(field.mesh, field.values)))
-
-
-def mass(field: CellField) -> float:
-    """int_Lambda w_h = sum_K m_K w_K."""
-    return float(integral(field.mesh, field.values))
-
-
-def discrete_h1_seminorm(field: CellField) -> float:
-    return float(np.sqrt(h1_seminorm_sq(field.mesh, field.values)))
-
-
 def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
                   mesh: TensorMesh, t_start: float,
-                  t_end: float) -> EdgeVelocity:
+                  t_end: float) -> np.ndarray:
     """Average of v . n_{K,sigma} over each interior face and (t_start, t_end].
+
+    Entry j is seen from the first (K) cell of face j's stored orientation;
+    the value seen from L is its negation.  Boundary faces carry no entry
+    (tangential velocity assumed).
 
     Tensor Gauss quadrature: `mesh.box_rule` over each face's tangential
     axes and 2 points in time.  The approximation error is quadrature
@@ -158,24 +129,22 @@ def edge_velocity(velocity: Callable[[float, np.ndarray], np.ndarray],
                 v = np.asarray(velocity(float(t), pts), dtype=float)
                 acc += w_sp * tw[ti] * v[:, a]
         out[idx] = acc
-    return EdgeVelocity(mesh, out)
+    return out
 
 
-def upwind_cells(edge_vel: EdgeVelocity) -> np.ndarray:
+def upwind_cells(mesh: TensorMesh, v: np.ndarray) -> np.ndarray:
     """Index of the upstream cell per interior face; ties (v = 0) take K."""
-    mesh = edge_vel.mesh
-    return np.where(edge_vel.values >= 0.0,
-                    mesh.edge_cells[:, 0], mesh.edge_cells[:, 1])
+    return np.where(v >= 0.0, mesh.edge_cells[:, 0], mesh.edge_cells[:, 1])
 
 
-def convection_matrix(edge_vel: EdgeVelocity, tau: float) -> sp.csr_matrix:
+def convection_matrix(mesh: TensorMesh, v: np.ndarray,
+                      tau: float) -> sp.csr_matrix:
     """(C f)_K = tau sum_sigma m_sigma v_{K,sigma} f(upstream cell of sigma).
     tau scales each face before faces sharing an entry are summed; scaling
     the sums would round differently."""
-    mesh = edge_vel.mesh
     n = mesh.n_cells
-    flux = tau * (mesh.edge_measures * edge_vel.values)
-    upwind = upwind_cells(edge_vel)
+    flux = tau * (mesh.edge_measures * v)
+    upwind = upwind_cells(mesh, v)
     return sp.coo_matrix(
         (np.concatenate([flux, -flux]),
          (np.concatenate([mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]]),
@@ -183,27 +152,24 @@ def convection_matrix(edge_vel: EdgeVelocity, tau: float) -> sp.csr_matrix:
         shape=(n, n)).tocsr()
 
 
-def dibp_row_form(w: CellField, v: CellField) -> float:
+def dibp_row_form(mesh: TensorMesh, w: np.ndarray, v: np.ndarray) -> float:
     """sum_K sum_{sigma in E_K^int} t_sigma (w_K - w_L) v_K, i.e. v . (A w)
     with A the assembled TPFA stiffness."""
-    return float(np.dot(v.values, TpfaOperator(w.mesh).stiffness @ w.values))
+    return float(np.dot(v, TpfaOperator(mesh).stiffness @ w))
 
 
-def dibp_edge_form(w: CellField, v: CellField) -> float:
+def dibp_edge_form(mesh: TensorMesh, w: np.ndarray, v: np.ndarray) -> float:
     """sum_{sigma in E_int} t_sigma (w_K - w_L)(v_K - v_L)."""
-    mesh = w.mesh
     k, l = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
     return float(np.sum(mesh.transmissibilities
-                        * (w.values[k] - w.values[l])
-                        * (v.values[k] - v.values[l])))
+                        * (w[k] - w[l])
+                        * (v[k] - v[l])))
 
 
-def dibp_gap(w: CellField, v: CellField) -> float:
+def dibp_gap(mesh: TensorMesh, w: np.ndarray, v: np.ndarray) -> float:
     """Absolute gap between the two sides of the discrete integration by parts
     identity; an algebraic identity, so the gap is pure roundoff."""
-    if w.mesh is not v.mesh:
-        raise MeshError("fields live on different meshes")
-    return abs(dibp_row_form(w, v) - dibp_edge_form(w, v))
+    return abs(dibp_row_form(mesh, w, v) - dibp_edge_form(mesh, w, v))
 
 
 def grounded_solve(op: TpfaOperator, b: np.ndarray) -> np.ndarray:
@@ -241,11 +207,10 @@ def poincare_constant_estimate(mesh: TensorMesh) -> float:
     return 1.0 / lam
 
 
-def l2_error_vs_function(field: CellField,
+def l2_error_vs_function(mesh: TensorMesh, values: np.ndarray,
                          fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """True L2 distance between a smooth function and a cell field, by
     per-cell tensor Gauss quadrature of (fn - w_K)^2."""
     sq = cell_average(
-        lambda x: (np.asarray(fn(x), dtype=float) - field.values) ** 2,
-        field.mesh)
-    return float(np.sqrt(integral(field.mesh, sq.values)))
+        lambda x: (np.asarray(fn(x), dtype=float) - values) ** 2, mesh)
+    return float(np.sqrt(integral(mesh, sq.values)))

@@ -26,18 +26,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MeshError
-from .fields import CellField
 
 __all__ = [
     "TensorMesh",
-    "AdmissibilityReport",
+    "CellField",
     "build_tensor_mesh",
     "refine",
     "cell_average",
     "box_rule",
     "validate_admissibility",
     "injection_map",
-    "inject",
 ]
 
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +177,29 @@ class TensorMesh:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class CellField:
+    """One real value per control volume, w_h = sum_K w_K 1_K: the checked
+    result of building a field from a user function (cell_average and the
+    projections).  The operators take plain (mesh, values) arrays.  The mesh
+    reference is shared, never copied.
+    """
+
+    mesh: TensorMesh
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.shape != (self.mesh.n_cells,):
+            raise ValueError(
+                f"field has {values.shape} values for a mesh with "
+                f"{self.mesh.n_cells} cells"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field contains non-finite values")
+
+
 def build_tensor_mesh(
     domain: Sequence[tuple[float, float]],
     cell_counts: Sequence[int],
@@ -288,7 +309,7 @@ def refine(mesh: TensorMesh) -> TensorMesh:
     """Halve every interval per axis.
 
     Children tile their parents exactly (interval endpoints are reused), so
-    piecewise-constant fields on the coarse mesh inject onto the fine mesh
+    piecewise-constant fields on the coarse mesh lift onto the fine mesh
     without any geometric mismatch; see :func:`injection_map`.
     """
     new_nodes = []
@@ -300,17 +321,9 @@ def refine(mesh: TensorMesh) -> TensorMesh:
     return _build_from_nodes(tuple(new_nodes))
 
 
-@dataclass
-class AdmissibilityReport:
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_admissibility(mesh: TensorMesh) -> AdmissibilityReport:
-    """Check the admissibility conditions and report violations.
+def validate_admissibility(mesh: TensorMesh) -> list[str]:
+    """Check the admissibility conditions and list the violations; an empty
+    list means the mesh is admissible.
 
     Checks: positive measures, cell measures summing to the domain measure,
     centers inside their closed cell, distinct neighboring centers, stored
@@ -361,7 +374,7 @@ def validate_admissibility(mesh: TensorMesh) -> AdmissibilityReport:
     bad = np.linalg.norm(closure, axis=1) > 1e-12 * scale
     if np.any(bad):
         v.append(f"closure: divergence-theorem defect in cells {np.where(bad)[0].tolist()}")
-    return AdmissibilityReport(v)
+    return v
 
 
 def box_rule(lower: np.ndarray, upper: np.ndarray, axes: list[int]):
@@ -415,8 +428,3 @@ def injection_map(coarse: TensorMesh, fine: TensorMesh) -> np.ndarray:
         per_axis.append(np.searchsorted(cn, mids) - 1)
     grids = np.meshgrid(*per_axis, indexing="ij")
     return np.ravel_multi_index([g.ravel() for g in grids], coarse.cell_counts)
-
-
-def inject(field: CellField, fine: TensorMesh) -> CellField:
-    """Lift a coarse piecewise-constant field onto a nested finer mesh."""
-    return CellField(fine, field.values[injection_map(field.mesh, fine)])

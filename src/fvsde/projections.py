@@ -20,11 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .discrete_ops import (TpfaOperator, discrete_h1_seminorm,
-                           grounded_solve, integral, l2_error_vs_function)
+from .discrete_ops import (TpfaOperator, grounded_solve, h1_seminorm_sq,
+                           integral, l2_error_vs_function)
 from .errors import CompatibilityWarning, ConfigError, SolverError
-from .fields import CellField
-from .mesh import TensorMesh, cell_average
+from .mesh import CellField, TensorMesh, cell_average
 from .stats import fit_rate
 
 __all__ = [
@@ -104,9 +103,9 @@ def _flux_residual(op: TpfaOperator, x: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(op.stiffness @ x - rhs)))
 
 
-def _solve(spec: SmoothFunctionSpec, mesh: TensorMesh) -> tuple[CellField, float, float]:
-    """The elliptic projection, the flux-balance residual it was checked
-    against and its target mass int_Lambda w."""
+def _solve(spec: SmoothFunctionSpec, mesh: TensorMesh) -> tuple[np.ndarray, float, float]:
+    """The elliptic projection's values, the flux-balance residual they were
+    checked against and their target mass int_Lambda w."""
     target_mass = float(integral(mesh, cell_average(spec.fn, mesh).values))
     rhs = _flux_rhs(spec, mesh, stacklevel=4)   # warn at the public caller
     op = TpfaOperator(mesh)
@@ -115,7 +114,7 @@ def _solve(spec: SmoothFunctionSpec, mesh: TensorMesh) -> tuple[CellField, float
     res = _flux_residual(op, x, rhs)
     if res > RESIDUAL_TOL:
         raise SolverError(f"projection residual {res:.3e} exceeds {RESIDUAL_TOL}")
-    return CellField(mesh, x), res, target_mass
+    return x, res, target_mass
 
 
 def elliptic_projection(spec: SmoothFunctionSpec,
@@ -126,13 +125,13 @@ def elliptic_projection(spec: SmoothFunctionSpec,
     warns (CompatibilityWarning) when int_Lambda Lap(w) fails to vanish
     beyond quadrature accuracy, which signals non-Neumann data.
     """
-    return _solve(spec, mesh)[0]
+    return CellField(mesh, _solve(spec, mesh)[0])
 
 
-def elliptic_residual(spec: SmoothFunctionSpec, field: CellField) -> float:
-    """Max-norm defect of the per-cell flux balance at a candidate field."""
-    mesh = field.mesh
-    return _flux_residual(TpfaOperator(mesh), field.values, _flux_rhs(spec, mesh))
+def elliptic_residual(spec: SmoothFunctionSpec, mesh: TensorMesh,
+                      values: np.ndarray) -> float:
+    """Max-norm defect of the per-cell flux balance at candidate values."""
+    return _flux_residual(TpfaOperator(mesh), values, _flux_rhs(spec, mesh))
 
 
 @dataclass
@@ -160,14 +159,13 @@ def projection_error_report(spec: SmoothFunctionSpec,
     sizes, e_ell, e_cen, gaps, residuals, defects = [], [], [], [], [], []
     for mesh in meshes:
         tilde, residual, target = _solve(spec, mesh)
-        hat = centered_projection(spec.fn, mesh)
+        hat = centered_projection(spec.fn, mesh).values
         sizes.append(mesh.size_h)
-        e_ell.append(l2_error_vs_function(tilde, spec.fn))
-        e_cen.append(l2_error_vs_function(hat, spec.fn))
-        gaps.append(discrete_h1_seminorm(
-            CellField(mesh, hat.values - tilde.values)))
+        e_ell.append(l2_error_vs_function(mesh, tilde, spec.fn))
+        e_cen.append(l2_error_vs_function(mesh, hat, spec.fn))
+        gaps.append(float(np.sqrt(h1_seminorm_sq(mesh, hat - tilde))))
         residuals.append(residual)
-        defects.append(abs(float(integral(mesh, tilde.values)) - target))
+        defects.append(abs(float(integral(mesh, tilde)) - target))
     columns = {"elliptic": e_ell, "centered": e_cen, "seminorm_gap": gaps}
     # an entry that is rounding noise next to its column's largest is zero
     if any(min(col) <= 1e-12 * max(col) for col in columns.values()):

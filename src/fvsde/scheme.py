@@ -52,7 +52,6 @@ from scipy.sparse.linalg import splu
 from . import discrete_ops as ops
 from .discrete_ops import TpfaOperator
 from .errors import CouplingError, SolverError, StabilityWarning, StepFailure
-from .fields import CellField
 from .mesh import TensorMesh, cell_average
 from .noise import NoisePath, TimeGrid, coarsen
 
@@ -151,9 +150,6 @@ class Trajectory:
     residual_norms: list[float]
     increments: np.ndarray              # the driving dW_n actually used
 
-    def field(self, n: int) -> CellField:
-        return CellField(self.mesh, self.states[n])
-
 
 class StepWorkspace:
     """Precomputed per-(mesh, tau) assembly data.
@@ -196,9 +192,9 @@ class StepWorkspace:
         self._entries = [(cells, cells)]
         self.conv = None
         if problem.velocity is not None:
-            edge_vel = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
-            if np.any(edge_vel.values != 0.0):
-                self.conv = ops.convection_matrix(edge_vel, self.tau)
+            v = ops.edge_velocity(problem.velocity, mesh, 0.0, tau)
+            if np.any(v != 0.0):
+                self.conv = ops.convection_matrix(mesh, v, self.tau)
                 coo = self.conv.tocoo()
                 self._entries.append((coo.row, coo.col))
         if problem.affine:
@@ -436,8 +432,8 @@ def trajectory_mass_defects(traj: Trajectory, problem: ProblemSpec) -> np.ndarra
     """Defect of the discrete mass identity at every step.
 
     Summing the scheme over all cells telescopes the flux terms, leaving
-    mass(u^n) = mass(u^0) + sum_k [ dW_k sum_K m_K g(u_K^{k-1})
-                                    + tau sum_K m_K beta(u_K^k) ].
+    sum_K m_K u_K^n = sum_K m_K u_K^0 + sum_k [ dW_k sum_K m_K g(u_K^{k-1})
+                                                + tau sum_K m_K beta(u_K^k) ].
     Returns the per-step absolute defect (solver tolerance accumulation).
     """
     mesh = traj.mesh

@@ -70,8 +70,8 @@ NEWTON_BATCH = 16
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything needed to reproduce a study run; build it with
-    :func:`default_config`."""
+    """Everything needed to reproduce a study run, checked on construction
+    (and so by `dataclasses.replace`); build it with :func:`default_config`."""
 
     study: str
     preset: str
@@ -85,7 +85,7 @@ class StudyConfig:
     out_dir: str | None = None
     left_interpolant: bool = False
 
-    def validate(self) -> "StudyConfig":
+    def __post_init__(self):
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; "
                               f"choose from {STUDIES}")
@@ -159,7 +159,6 @@ class StudyConfig:
                     f"is uniform on base mesh {self.mesh} (cell averages span "
                     f"{spread:.1e}), so every error is rounding noise; refine "
                     "the base mesh")
-        return self
 
 
 def default_config(study: str, **overrides) -> StudyConfig:
@@ -168,7 +167,7 @@ def default_config(study: str, **overrides) -> StudyConfig:
         raise ConfigError(f"unknown study {study!r}; choose from {STUDIES}")
     base = dict(_DEFAULTS[study])
     base.update(overrides)
-    return StudyConfig(study=study, **base).validate()
+    return StudyConfig(study=study, **base)
 
 
 @dataclass(frozen=True)
@@ -473,7 +472,6 @@ def run_rate_study(config: StudyConfig) -> list[RateReport]:
     every run, summed over the paths in path order: the levels, then the
     reference (spatial: one entry per level).
     """
-    config.validate()
     study = config.study
     if study != "spatial" and study not in _COMPARATORS:
         raise ConfigError(f"{study!r} is not a rate study")

@@ -12,9 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from fvsde.discrete_ops import (dibp_gap, discrete_h1_seminorm,
+from fvsde.discrete_ops import (dibp_gap, h1_seminorm_sq,
                                 poincare_constant_estimate)
-from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, refine
 from fvsde.noise import NoisePath, TimeGrid, coarsen, sample_path
 from fvsde.presets import get_preset
@@ -104,10 +103,11 @@ def test_criterion_05_dibp_identity_gap():
         for _ in range(67):
             if count == 200:
                 break
-            w = CellField(mesh, rng.standard_normal(mesh.n_cells))
-            v = CellField(mesh, rng.standard_normal(mesh.n_cells))
-            scale = (discrete_h1_seminorm(w) * discrete_h1_seminorm(v) + 1.0)
-            worst = max(worst, dibp_gap(w, v) / scale)
+            w = rng.standard_normal(mesh.n_cells)
+            v = rng.standard_normal(mesh.n_cells)
+            scale = (np.sqrt(h1_seminorm_sq(mesh, w))
+                     * np.sqrt(h1_seminorm_sq(mesh, v)) + 1.0)
+            worst = max(worst, dibp_gap(mesh, w, v) / scale)
             count += 1
     ok = worst <= 1e-12 and count == 200
     _verdict(5, "DIBP identity on 200 random pairs across 3 meshes", ok,

@@ -123,3 +123,30 @@ def test_readme_python_blocks_run_in_order(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["discrete_ops", "mesh", "scheme"])
+def test_operators_take_plain_arrays(name):
+    # one representation per discrete quantity: a CellField is only returned
+    # by the functions that sample a user function, never taken as input
+    module = importlib.import_module(f"fvsde.{name}")
+    public = []
+    for key, obj in vars(module).items():
+        if (key.startswith("_")
+                or getattr(obj, "__module__", None) != module.__name__):
+            continue
+        if inspect.isfunction(obj):
+            public.append(obj)
+        elif inspect.isclass(obj):
+            public += [f for attr, f in vars(obj).items()
+                       if inspect.isfunction(f)
+                       and (attr == "__init__" or not attr.startswith("_"))]
+    taking = [f.__qualname__ for f in public
+              if any("CellField" in str(p.annotation)
+                     for p in inspect.signature(f).parameters.values())]
+    assert not taking, f"fvsde.{name} functions take a CellField: {taking}"
+
+
+def test_the_fields_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("fvsde.fields")

@@ -14,18 +14,17 @@ import fvsde.scheme as scheme
 from fvsde import properties
 from fvsde.cli import main
 from fvsde.discrete_ops import TpfaOperator
-from fvsde.fields import CellField
+from fvsde.mesh import CellField
 from fvsde.study import default_config
 
 
-def _one_sided_row_form(w, v):
+def _one_sided_row_form(mesh, w, v):
     # flux leaves K but never reaches L: the row form stops being conservative
-    mesh = w.mesh
-    flux = mesh.transmissibilities * (w.values[mesh.edge_cells[:, 0]]
-                                      - w.values[mesh.edge_cells[:, 1]])
+    flux = mesh.transmissibilities * (w[mesh.edge_cells[:, 0]]
+                                      - w[mesh.edge_cells[:, 1]])
     acc = np.zeros(mesh.n_cells)
     np.add.at(acc, mesh.edge_cells[:, 0], flux)
-    return float(np.dot(acc, v.values))
+    return float(np.dot(acc, v))
 
 
 def _break_dibp(monkeypatch):
@@ -94,10 +93,8 @@ def test_diffusion_energy_check_fails_with_weakened_stiffness(monkeypatch):
 
 
 def test_convection_energy_check_fails_when_downwinded(monkeypatch):
-    def downwind_cells(edge_vel):
-        m = edge_vel.mesh
-        return np.where(edge_vel.values >= 0.0,
-                        m.edge_cells[:, 1], m.edge_cells[:, 0])
+    def downwind_cells(m, v):
+        return np.where(v >= 0.0, m.edge_cells[:, 1], m.edge_cells[:, 0])
 
     monkeypatch.setattr(ops, "upwind_cells", downwind_cells)
     with pytest.raises(AssertionError, match="energy excess"):
@@ -141,15 +138,15 @@ _PROJECT = properties.elliptic_projection
 _CENTER = properties.centered_projection
 _RUN_PATH = properties.run_path
 _BUILD = properties.build_tensor_mesh
+_INJECTION_MAP = mesh_mod.injection_map
 
 
-def _leaky_convection(edge_vel, tau):
+def _leaky_convection(mesh, v, tau):
     # the first face's flux leaves K but never reaches L
-    mesh = edge_vel.mesh
     n = mesh.n_cells
-    flux = tau * mesh.edge_measures[0] * edge_vel.values[0]
-    up = ops.upwind_cells(edge_vel)[0]
-    return _CONVECTION(edge_vel, tau) + sp.csr_matrix(
+    flux = tau * mesh.edge_measures[0] * v[0]
+    up = ops.upwind_cells(mesh, v)[0]
+    return _CONVECTION(mesh, v, tau) + sp.csr_matrix(
         ([flux], ([mesh.edge_cells[0, 1]], [up])), shape=(n, n))
 
 
@@ -177,18 +174,17 @@ def _drifting_run_path():
     return run
 
 
-def _rolling_inject():
+def _rolling_injection_map():
     # equal fine cells: a rolled parent map keeps the norm, not the values
     calls = itertools.count()
-    return lambda field, fine: CellField(fine, field.values[np.roll(
-        mesh_mod.injection_map(field.mesh, fine), next(calls))])
+    return lambda coarse, fine: np.roll(_INJECTION_MAP(coarse, fine),
+                                        next(calls))
 
 
-def _rolled_inject(field, fine):
+def _rolled_injection_map(coarse, fine):
     # a fixed wrong parent map: deterministic, and norm-preserving on equal
     # fine cells
-    return CellField(fine, field.values[np.roll(
-        mesh_mod.injection_map(field.mesh, fine), 1)])
+    return np.roll(_INJECTION_MAP(coarse, fine), 1)
 
 
 def _step_count_scaled_run_path(problem, mesh, grid, path, params=None):
@@ -267,15 +263,12 @@ BROKEN_SUBJECTS = [
     _case("coupling_zero_error", properties, "coarsen",
           lambda: lambda path, n: noise.coarsen(path, n)[::-1].copy(),
           "identity coarsening is not exact", "reversed_coarsening"),
-    _case("nested_injection_zero", properties, "inject",
-          lambda: lambda field, fine: CellField(
-              fine, mesh_mod.inject(field, fine).values + 1e-3),
-          "injection changed the norm", "shifted_injection"),
-    _case("nested_injection_zero", properties, "inject", _rolling_inject,
-          "injection is not deterministic", "rolling_injection"),
-    _case("nested_injection_zero", properties, "inject",
-          lambda: _rolled_inject, "injection does not copy each fine cell's "
-          "parent", "rolled_parent_map"),
+    _case("nested_injection_zero", properties, "injection_map",
+          _rolling_injection_map, "injection is not deterministic",
+          "rolling_injection"),
+    _case("nested_injection_zero", properties, "injection_map",
+          lambda: _rolled_injection_map, "injection does not copy each fine "
+          "cell's parent", "rolled_parent_map"),
     _case("moment_boundedness", properties, "run_path",
           lambda: _step_count_scaled_run_path, "sup_n E||u||^2 moved",
           "step_count_scaled_states"),

@@ -7,10 +7,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import fvsde.discrete_ops as ops
-from fvsde.discrete_ops import discrete_l2_norm, mass
+from fvsde.discrete_ops import integral, l2_norm_sq
 from fvsde.errors import (CouplingError, SolverError, StabilityWarning,
                           StepFailure)
-from fvsde.fields import CellField
 from fvsde.mesh import build_tensor_mesh, cell_average
 from fvsde.noise import NoisePath, TimeGrid, coarsen, sample_path
 from fvsde.presets import get_preset, stream_velocity
@@ -100,9 +99,9 @@ def test_pure_diffusion_preserves_mass():
     grid = TimeGrid(4, problem.horizon)
     path = sample_path(1, 0, 4, problem.horizon)
     traj = run_path(problem, mesh, grid, path)
-    m0 = mass(traj.field(0))
+    m0 = integral(mesh, traj.states[0])
     for n in range(1, 5):
-        assert abs(mass(traj.field(n)) - m0) <= 1e-11
+        assert abs(integral(mesh, traj.states[n]) - m0) <= 1e-11
 
 
 def test_scalar_implicit_euler_closed_form():
@@ -244,16 +243,16 @@ def test_nonlinear_newton_converges():
 
 
 def test_mass_martingale_identity_additive_noise():
-    # g = c, beta = 0: mass(u^n) - mass(u^0) = c |Lambda| W(t_n)
+    # g = c, beta = 0: int u^n - int u^0 = c |Lambda| W(t_n)
     problem = get_preset("additive")
     mesh = build_tensor_mesh(problem.domain, (8, 8))
     grid = TimeGrid(32, problem.horizon)
     path = sample_path(6, 0, 128, problem.horizon)
     traj = run_path(problem, mesh, grid, path)
     w = np.concatenate([[0.0], np.cumsum(coarsen(path, 32))])
-    m0 = mass(traj.field(0))
+    m0 = integral(mesh, traj.states[0])
     for n in range(1, 33):
-        defect = abs(mass(traj.field(n)) - m0 - 0.5 * 1.0 * w[n])
+        defect = abs(integral(mesh, traj.states[n]) - m0 - 0.5 * 1.0 * w[n])
         assert defect <= n * 1e-9
 
 
@@ -304,10 +303,8 @@ def test_downwind_mutation_breaks_energy_inequality(monkeypatch):
     grid = TimeGrid(16, problem.horizon)
     path = NoisePath(problem.horizon, 16, np.zeros(16), 0, 0)
 
-    def downwind_cells(edge_vel):
-        m = edge_vel.mesh
-        return np.where(edge_vel.values >= 0.0,
-                        m.edge_cells[:, 1], m.edge_cells[:, 0])
+    def downwind_cells(m, v):
+        return np.where(v >= 0.0, m.edge_cells[:, 1], m.edge_cells[:, 0])
 
     monkeypatch.setattr(ops, "upwind_cells", downwind_cells)
     traj = run_path(problem, mesh, grid, path)
@@ -459,16 +456,15 @@ def test_newton_advance_matches_run_path_step(preset):
     u, iterations, residual = ws.advance(prev.values, 0.0, StepperParams())
     assert type(u) is np.ndarray and u.shape == (mesh.n_cells,)
     assert type(iterations) is int and type(residual) is float
-    state = CellField(mesh, u)
     grid = TimeGrid(1, 0.01 * 1)
     # same tau, zero noise: one run_path step must agree bitwise
     traj = run_path(dataclasses.replace(problem, horizon=0.01),
                     mesh, grid, NoisePath(0.01, 1, np.zeros(1), 0, 0))
-    assert np.array_equal(traj.states[1], state.values)
+    assert np.array_equal(traj.states[1], u)
     assert traj.newton_iterations == [iterations]
     assert traj.residual_norms == [residual]
     assert 1 <= iterations <= 2
-    assert discrete_l2_norm(state) <= discrete_l2_norm(prev)
+    assert l2_norm_sq(mesh, u) <= l2_norm_sq(mesh, prev.values)
 
 
 @pytest.mark.parametrize("preset, cells", [
