@@ -221,8 +221,7 @@ def _run_study_command(args: argparse.Namespace) -> int:
             _print_report(report)
 
     manifest = RunManifest(
-        config={k: list(v) if isinstance(v, tuple) else v
-                for k, v in config.__dict__.items()},
+        config=dict(vars(config)),
         version=__version__,
         started=started,
         finished=datetime.now(timezone.utc).isoformat(),

@@ -195,10 +195,6 @@ class RateReport:
     inconclusive: bool = False
 
     @property
-    def errors(self) -> list[float]:
-        return [math.sqrt(r.err_mean_sq) for r in self.rows]
-
-    @property
     def fit_points(self) -> list[tuple[float, float]]:
         """(scale, error) pairs the slope is fitted on and plotted from: h or
         tau against the root mean squared error ("dt": the mean as it is)."""

@@ -224,6 +224,25 @@ def test_newton_path_csv_identical_across_runs_and_workers(tmp_path):
     assert all(other == first for other in others)
 
 
+@pytest.mark.parametrize("interpolant", ["right", "left"])
+def test_coupled_csv_identical_across_workers_and_reruns(tmp_path,
+                                                         interpolant):
+    # 7 paths split 4 + 3 and 3 + 2 + 2 across workers; every level refines
+    # the mesh, so the injection map and the coupled comparator run
+    args = ["coupled", "--mesh", "4x4", "--levels", "3",
+            "--steps", "4,8,16", "--ref-steps", "64", "--paths", "7",
+            "--seed", "3"]
+    if interpolant == "left":
+        args.append("--left-interpolant")
+    runs = [(tmp_path / f"run{i}", workers)
+            for i, workers in enumerate("1231")]
+    for out, workers in runs:
+        assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+    for name in ("coupled_rates.csv", "coupled_summary.json"):
+        first, *others = (_read(out / name) for out, _ in runs)
+        assert all(other == first for other in others), name
+
+
 def test_newton_csv_does_not_depend_on_path_chunking(tmp_path):
     # workers take blocks of 5, 3 + 2 and 2 + 2 + 1 paths; 17 paths cross
     # the 16-path Newton batch serially and split 9 + 8 across two workers

@@ -105,6 +105,20 @@ def test_scheme_has_one_stepping_loop():
     assert len(stepping) == 1, f"loops calling self._implicit: {stepping}"
 
 
+def test_the_time_loop_lives_in_integrate_workspace():
+    # no helper below integrate_workspace marches the steps for it
+    tree = ast.parse((PACKAGE / "scheme.py").read_text())
+    owners = [(getattr(top, "name", "<module>"), loop.lineno)
+              for top in tree.body for loop in ast.walk(top)
+              if isinstance(loop, (ast.For, ast.While))
+              and any(isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "advance"
+                      for node in ast.walk(loop))]
+    assert [name for name, _ in owners] == ["integrate_workspace"], \
+        f"loops calling .advance(, by enclosing definition: {owners}"
+
+
 def test_no_module_has_a_global_statement():
     # a worker's state lives in its call, not in a module global
     found = [f"{path.name}:{node.lineno}"

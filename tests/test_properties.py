@@ -64,7 +64,7 @@ def test_mass_check_fails_when_the_noise_term_is_scaled(monkeypatch):
 
     monkeypatch.setattr(scheme.StepWorkspace, "_explicit", explicit)
     with pytest.raises(AssertionError, match="mass defect"):
-        properties._check_mass_identity(np.random.default_rng(0))
+        properties._check_mass_identity()
 
 
 def test_noise_factorization_check_fails_when_the_step_is_not_linear_in_dw(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import multiprocessing
 import tracemalloc
 
@@ -214,7 +215,7 @@ def test_inconclusive_when_ci_swamps_level_gap():
 def test_spatial_study_smoke():
     (report,) = run_rate_study(default_config("spatial", levels=3))
     assert 0.9 <= report.slope <= 2.2
-    errs = report.errors
+    errs = [math.sqrt(r.err_mean_sq) for r in report.rows]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert report.rows[0].n_paths == 1
     assert report.metadata["preset"] == "heat2d"
@@ -238,7 +239,7 @@ def test_spatial_study_3d_smoke():
     cfg = default_config("spatial", preset="heat3d", mesh=(8, 8, 8), levels=3)
     (report,) = run_rate_study(cfg)
     assert 0.9 <= report.slope <= 2.2
-    errs = report.errors
+    errs = [math.sqrt(r.err_mean_sq) for r in report.rows]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
@@ -335,7 +336,7 @@ def test_coupled_study_smoke():
     cfg = default_config("coupled", mesh=(4, 4), levels=2, steps=(4, 8),
                          ref_steps=64, paths=8)
     (report,) = run_rate_study(cfg)
-    errs = report.errors
+    errs = [math.sqrt(r.err_mean_sq) for r in report.rows]
     assert errs[0] > errs[1] > 0.0
     assert report.metadata["interpolant"] == "right"
     (left,) = run_rate_study(
