@@ -3,6 +3,8 @@
 Subcommands: properties, spatial, temporal, coupled, hoelder, projections,
 mesh-info.  Configuration comes from (lowest to highest precedence) per-study
 defaults, a key=value config file, FVSDE_* environment variables, and flags.
+A study takes only the settings of its study.SETTINGS entry: another flag or
+config-file key is a config error, another FVSDE_* variable is ignored.
 
 Exit codes: 0 success, 1 invariant failure, 2 config error, 3 solver failure.
 """
@@ -23,12 +25,24 @@ from .properties import run_property_suite
 from .reporting import (RunManifest, fmt, property_report_text,
                         rate_report_csv, rate_report_summary, svg_loglog,
                         write_json, write_manifest, write_text)
-from .study import STUDIES, StudyConfig, default_config, run_rate_study
+from .study import (SETTINGS, STUDIES, StudyConfig, default_config,
+                    run_rate_study)
 
 ENV_PREFIX = "FVSDE_"
 
-_CONFIG_KEYS = ("study", "preset", "mesh", "levels", "steps", "ref_steps",
-                "paths", "seed", "workers", "out", "left_interpolant")
+_FLAG_HELP = {
+    "preset": "problem preset name",
+    "mesh": "base mesh, e.g. 32x32 or 8x8x8",
+    "levels": "number of refinement levels",
+    "steps": "comma-separated step-count chain",
+    "ref_steps": "reference (finest) step count",
+    "paths": "Monte Carlo path count",
+    "seed": "master seed",
+    "workers": "worker processes",
+    "left_interpolant": "compare at nodes with the left interpolant",
+}
+
+_CONFIG_KEYS = ("study", *_FLAG_HELP, "out")
 
 
 def _parse_mesh(text: str) -> tuple[int, ...]:
@@ -95,9 +109,9 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _env_overrides() -> dict:
+def _env_overrides(study: str) -> dict:
     out = {}
-    for key in _CONFIG_KEYS:
+    for key in ("study", *SETTINGS[study], "out"):
         raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             out[key] = _coerce(key, raw)
@@ -110,7 +124,7 @@ def parse_config(study: str, config_path: str | None = None,
     merged: dict = {}
     if config_path is not None:
         merged.update(_read_config_file(config_path))
-    merged.update(_env_overrides())
+    merged.update(_env_overrides(study))
     if cli_overrides:
         merged.update({k: v for k, v in cli_overrides.items() if v is not None})
     selected = merged.pop("study", study)
@@ -138,19 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_study(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--preset", help="problem preset name")
-        p.add_argument("--seed", help="master seed")
-        p.add_argument("--paths", help="Monte Carlo path count")
-        p.add_argument("--levels", help="number of refinement levels")
-        p.add_argument("--steps", help="comma-separated step-count chain")
-        p.add_argument("--ref-steps", dest="ref_steps",
-                       help="reference (finest) step count")
-        p.add_argument("--mesh", help="base mesh, e.g. 32x32 or 8x8x8")
-        p.add_argument("--workers", help="worker processes")
+        for key in SETTINGS[name]:
+            switch = ({"action": "store_const", "const": "1"}
+                      if key == "left_interpolant" else {})
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=_FLAG_HELP[key], **switch)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--left-interpolant", action="store_const", const="1",
-                       dest="left_interpolant",
-                       help="compare at nodes with the left interpolant")
         return p
 
     for name in STUDIES:
@@ -221,7 +228,8 @@ def _run_study_command(args: argparse.Namespace) -> int:
             _print_report(report)
 
     manifest = RunManifest(
-        config=dict(vars(config)),
+        config={"study": config.study, "out_dir": config.out_dir,
+                **{key: getattr(config, key) for key in SETTINGS[config.study]}},
         version=__version__,
         started=started,
         finished=datetime.now(timezone.utc).isoformat(),

@@ -31,6 +31,7 @@ from .scheme import (STABILITY_MARGIN, StepperParams, StepWorkspace,
 from .stats import fit_rate, mc_mean_ci
 
 __all__ = [
+    "SETTINGS",
     "StudyConfig",
     "RateRow",
     "RateReport",
@@ -38,23 +39,25 @@ __all__ = [
     "run_rate_study",
 ]
 
-_DEFAULTS: dict[str, dict] = {
-    "properties":  {"preset": "stochastic", "mesh": (8, 8), "levels": 3,
-                    "steps": (8,), "ref_steps": 64, "paths": 4},
+# each study's settings, with their defaults: those it reads (spatial prints
+# paths and seed in its summary), the only ones default_config accepts
+SETTINGS: dict[str, dict] = {
+    "properties":  {"seed": 12345},
     "spatial":     {"preset": "heat2d", "mesh": (8, 8), "levels": 4,
-                    "steps": (), "ref_steps": 1, "paths": 2},
+                    "paths": 2, "seed": 12345},
     "temporal":    {"preset": "stochastic", "mesh": (32, 32), "levels": 1,
                     "steps": (8, 16, 32, 64, 128), "ref_steps": 1024,
-                    "paths": 64},
+                    "paths": 64, "seed": 12345, "workers": 1},
     "coupled":     {"preset": "stochastic", "mesh": (8, 8), "levels": 4,
-                    "steps": (8, 16, 32, 64), "ref_steps": 512, "paths": 64},
+                    "steps": (8, 16, 32, 64), "ref_steps": 512, "paths": 64,
+                    "seed": 12345, "workers": 1, "left_interpolant": False},
     "hoelder":     {"preset": "lowmode", "mesh": (16, 16), "levels": 1,
-                    "steps": (), "ref_steps": 2048, "paths": 64},
-    "projections": {"preset": "stochastic", "mesh": (8, 8), "levels": 4,
-                    "steps": (), "ref_steps": 1, "paths": 2},
+                    "ref_steps": 2048, "paths": 64, "seed": 12345,
+                    "workers": 1},
+    "projections": {"mesh": (8, 8), "levels": 4},
 }
 
-STUDIES = tuple(_DEFAULTS)
+STUDIES = tuple(SETTINGS)
 
 HOELDER_SEPARATIONS = (1, 2, 4)
 
@@ -71,15 +74,16 @@ NEWTON_BATCH = 16
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything needed to reproduce a study run, checked on construction
-    (and so by `dataclasses.replace`); build it with :func:`default_config`."""
+    (and so by `dataclasses.replace`); build it with :func:`default_config`.
+    A field outside the study's SETTINGS entry keeps its class default."""
 
     study: str
-    preset: str
-    mesh: tuple[int, ...]
-    levels: int
-    steps: tuple[int, ...]
-    ref_steps: int
-    paths: int
+    preset: str = "stochastic"
+    mesh: tuple[int, ...] = (8, 8)
+    levels: int = 1
+    steps: tuple[int, ...] = ()
+    ref_steps: int = 1
+    paths: int = 2
     seed: int = 12345
     workers: int = 1
     out_dir: str | None = None
@@ -104,10 +108,7 @@ class StudyConfig:
         if not 1 <= self.ref_steps <= MAX_FINE_STEPS:
             raise ConfigError(f"ref_steps must lie in [1, 2**23] (exact noise "
                               f"lattice sums), got {self.ref_steps}")
-        # FVSDE_* variables reach every subcommand, so a rule across two
-        # settings (here, and the preset's dimension) binds only studies
-        # that read both
-        for n in self.steps if self.study in ("temporal", "coupled") else ():
+        for n in self.steps:
             if n < 1 or self.ref_steps % n != 0:
                 raise ConfigError(
                     f"step count {n} does not divide ref_steps={self.ref_steps}")
@@ -119,6 +120,9 @@ class StudyConfig:
                               "distinct step counts")
         if self.study in ("spatial", "coupled") and self.levels < 2:
             raise ConfigError(f"{self.study} study needs at least 2 levels")
+        if self.study in ("temporal", "hoelder") and self.levels != 1:
+            raise ConfigError(f"{self.study} study runs on one mesh, so "
+                              "levels must be 1")
         # a level on the reference's own mesh and steps has error exactly 0
         if (self.study == "temporal" and self.ref_steps in self.steps
                 or self.study == "coupled" and self.steps[-1] == self.ref_steps):
@@ -128,8 +132,8 @@ class StudyConfig:
         if self.study == "projections" and self.levels < 3:
             raise ConfigError("projections study needs at least 3 levels")
         problem = get_preset(self.preset)
-        dim = 2 if self.study == "projections" else len(problem.domain)
-        if self.study != "properties" and len(self.mesh) != dim:
+        dim = len(problem.domain)
+        if len(self.mesh) != dim:
             raise ConfigError(f"{self.study} with preset {self.preset!r} "
                               f"needs a {dim}-D mesh, got {self.mesh}")
         # with fewer than 2 cells in x (or 3 in y) sin(pi x) (or sin(2 pi y))
@@ -162,12 +166,15 @@ class StudyConfig:
 
 
 def default_config(study: str, **overrides) -> StudyConfig:
-    """Config with per-study defaults, selectively overridden."""
+    """Config with the study's SETTINGS defaults, selectively overridden;
+    besides out_dir, a key outside the study's entry is a config error."""
     if study not in STUDIES:
         raise ConfigError(f"unknown study {study!r}; choose from {STUDIES}")
-    base = dict(_DEFAULTS[study])
-    base.update(overrides)
-    return StudyConfig(study=study, **base)
+    unread = sorted(set(overrides) - {"out_dir", *SETTINGS[study]})
+    if unread:
+        raise ConfigError(f"{study} does not read {', '.join(unread)}; it "
+                          f"takes {', '.join(SETTINGS[study])}")
+    return StudyConfig(study=study, **{**SETTINGS[study], **overrides})
 
 
 @dataclass(frozen=True)
@@ -440,6 +447,7 @@ def _spatial_rows(problem, levels) -> tuple[list[RateRow], list[int]]:
         u0 = cell_average(problem.u0, mesh).values
         (final,), its, _ = integrate_workspace(ws, u0, np.zeros(n_steps),
                                                params, np.array([n_steps]))
+        del ws              # the next level factorizes without this LU
         exact = cell_average(
             lambda x: problem.exact_solution(x, problem.horizon), mesh).values
         err_sq = float(l2_norm_sq(mesh, final - exact))

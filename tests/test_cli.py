@@ -335,6 +335,105 @@ def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+# the settings each study subcommand takes besides --config and --out
+_TAKES = {
+    "properties": ("seed",),
+    "projections": ("mesh", "levels"),
+    "spatial": ("preset", "mesh", "levels", "paths", "seed"),
+    "temporal": ("preset", "mesh", "levels", "steps", "ref_steps", "paths",
+                 "seed", "workers"),
+    "hoelder": ("preset", "mesh", "levels", "ref_steps", "paths", "seed",
+                "workers"),
+    "coupled": ("preset", "mesh", "levels", "steps", "ref_steps", "paths",
+                "seed", "workers", "left_interpolant"),
+}
+# a value each setting accepts on its own (None: a switch)
+_VALID = {"preset": "stochastic", "mesh": "8x8", "levels": "1",
+          "steps": "8,16", "ref_steps": "64", "paths": "2", "seed": "1",
+          "workers": "1", "left_interpolant": None}
+_UNREAD = [(study, key) for study, takes in _TAKES.items()
+           for key in _VALID if key not in takes]
+
+
+def test_each_study_takes_exactly_its_settings():
+    from fvsde.study import SETTINGS
+    assert {study: tuple(keys) for study, keys in SETTINGS.items()} == _TAKES
+    assert len(_UNREAD) == 22
+    assert sum(map(len, _TAKES.values())) == 32
+
+
+@pytest.mark.parametrize("study, key", _UNREAD)
+def test_unread_flag_exits_2_in_one_line(study, key, tmp_path, capsys):
+    flag = ["--" + key.replace("_", "-")]
+    if _VALID[key] is not None:
+        flag.append(_VALID[key])
+    out = tmp_path / "out"
+    assert main([study, *flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_unread_config_file_key_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("mesh = 8x8\nseed = 3\n")
+    with pytest.raises(ConfigError, match="projections does not read seed"):
+        parse_config("projections", str(cfg_file))
+    out = tmp_path / "out"
+    assert main(["projections", "--config", str(cfg_file),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study", ["temporal", "hoelder"])
+def test_one_mesh_study_with_two_levels_exits_2(study, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([study, "--levels", "2", "--out", str(out)]) == 2
+    assert "levels must be 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_properties_manifest_records_only_its_settings(tmp_path,
+                                                       monkeypatch):
+    from fvsde import cli
+    from fvsde.properties import PropertyReport
+
+    monkeypatch.setattr(cli, "run_property_suite",
+                        lambda config: PropertyReport([]))
+    assert main(["properties", "--seed", "9", "--out", str(tmp_path)]) == 0
+    config = json.loads(_read(tmp_path / "manifest.json"))["config"]
+    assert config == {"study": "properties", "out_dir": str(tmp_path),
+                      "seed": 9}
+
+
+def test_benchmark_invocations_are_accepted(tmp_path):
+    # the benchmark builds each workload's config through parse_config and
+    # its command line through Workload.argv
+    import importlib.util
+    from fvsde.cli import _build_parser
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = workloads   # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules["workloads"]
+    assert len(workloads.WORKLOADS) == 4
+    out = str(tmp_path / "out")
+    for w in workloads.WORKLOADS.values():
+        cfg = parse_config(w.study, None, w.overrides(12345, w.workers, out))
+        assert (cfg.study, cfg.mesh, cfg.seed) == (w.study, w.mesh, 12345)
+        args = _build_parser().parse_args(w.argv(12345, w.workers, out))
+        assert args.command == w.study and args.out == out
+    assert _build_parser().parse_args(workloads.IDENTITY_ARGV)
+    assert not os.path.exists(out)
+
+
 def test_help_and_version_print_to_stdout_and_exit_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: fvsde")

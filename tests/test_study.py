@@ -161,13 +161,16 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError):
             default_config(study, **overrides)
     assert default_config("temporal", seed=2**64 - 1).seed == 2**64 - 1
-    # a rule across two settings skips a study that reads only one: properties
-    # reads neither steps nor the preset's dimension, spatial and hoelder no
-    # step chain
-    assert default_config("properties", preset="heat3d").preset == "heat3d"
-    assert default_config("properties", steps=(3,)).steps == (3,)
-    assert default_config("spatial", steps=(3,)).steps == (3,)
-    assert default_config("hoelder", steps=(3,)).steps == (3,)
+    # a study takes no setting it does not read: properties reads neither
+    # steps nor a preset, spatial and hoelder no step chain
+    with pytest.raises(ConfigError):
+        default_config("properties", preset="heat3d")
+    with pytest.raises(ConfigError):
+        default_config("properties", steps=(3,))
+    with pytest.raises(ConfigError):
+        default_config("spatial", steps=(3,))
+    with pytest.raises(ConfigError):
+        default_config("hoelder", steps=(3,))
 
 
 def test_unknown_study_in_a_directly_built_config():
