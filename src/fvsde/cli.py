@@ -25,8 +25,8 @@ from .properties import run_property_suite
 from .reporting import (RunManifest, fmt, property_report_text,
                         rate_report_csv, rate_report_summary, svg_loglog,
                         write_json, write_manifest, write_text)
-from .study import (SETTINGS, STUDIES, StudyConfig, default_config,
-                    run_rate_study)
+from .study import (ONE_MESH, SETTINGS, STUDIES, StudyConfig,
+                    default_config, run_rate_study)
 
 ENV_PREFIX = "FVSDE_"
 
@@ -43,6 +43,9 @@ _FLAG_HELP = {
 }
 
 _CONFIG_KEYS = ("study", *_FLAG_HELP, "out")
+
+_STUDY_HELP = {"projections": "projection error sweep over nested meshes",
+               "properties": "run every discrete invariant on seeded inputs"}
 
 
 def _parse_mesh(text: str) -> tuple[int, ...]:
@@ -113,7 +116,8 @@ def _env_overrides(study: str) -> dict:
     out = {}
     for key in ("study", *SETTINGS[study], "out"):
         raw = os.environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
+        # a shared FVSDE_LEVELS is meant for the multi-level studies
+        if raw is not None and not (key == "levels" and study in ONE_MESH):
             out[key] = _coerce(key, raw)
     return out
 
@@ -149,8 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_study(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
+    for name in STUDIES:
+        p = sub.add_parser(name, help=_STUDY_HELP.get(
+            name, f"{name} convergence-rate study"))
         p.add_argument("--config", help="key=value config file")
         for key in SETTINGS[name]:
             switch = ({"action": "store_const", "const": "1"}
@@ -158,15 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            help=_FLAG_HELP[key], **switch)
         p.add_argument("--out", help="output directory")
-        return p
-
-    for name in STUDIES:
-        if name == "projections":
-            add_study(name, "projection error sweep over nested meshes")
-        elif name == "properties":
-            add_study(name, "run every discrete invariant on seeded inputs")
-        else:
-            add_study(name, f"{name} convergence-rate study")
 
     mesh_p = sub.add_parser("mesh-info", help="build a mesh and export its "
                                               "summary as JSON")

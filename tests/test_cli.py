@@ -15,7 +15,7 @@ import fvsde
 from fvsde.cli import main, parse_config
 from fvsde.errors import ConfigError, CouplingError
 from fvsde.presets import PRESETS
-from fvsde.study import STUDIES
+from fvsde.study import ONE_MESH, SETTINGS, STUDIES
 
 
 def _read(path):
@@ -96,12 +96,21 @@ def test_single_path_exit_2(capsys):
     assert main(["temporal", "--paths", "1"]) == 2
 
 
-def test_single_path_is_accepted_by_a_study_without_paths(tmp_path):
-    # spatial runs one deterministic trajectory and never reads --paths
+def test_single_path_is_accepted_by_a_study_without_paths(tmp_path,
+                                                          monkeypatch):
+    # spatial runs one deterministic trajectory and never reads paths, so a
+    # shared FVSDE_PATHS does not reach it
+    monkeypatch.setenv("FVSDE_PATHS", "1")
     out = tmp_path / "out"
-    assert main(["spatial", "--levels", "2", "--paths", "1",
-                 "--out", str(out)]) == 0
+    assert main(["spatial", "--levels", "2", "--out", str(out)]) == 0
     assert (out / "spatial_rates.csv").exists()
+
+
+def test_shared_levels_variable_skips_the_one_mesh_studies(monkeypatch):
+    monkeypatch.setenv("FVSDE_LEVELS", "4")
+    assert parse_config("spatial", None).levels == 4
+    assert parse_config("temporal", None).levels == 1
+    assert parse_config("hoelder", None).levels == 1
 
 
 @pytest.mark.parametrize("study, levels", [("temporal", "1"),
@@ -339,7 +348,7 @@ def test_bad_config_exits_2_in_one_line(argv, tmp_path, capsys):
 _TAKES = {
     "properties": ("seed",),
     "projections": ("mesh", "levels"),
-    "spatial": ("preset", "mesh", "levels", "paths", "seed"),
+    "spatial": ("preset", "mesh", "levels", "seed"),
     "temporal": ("preset", "mesh", "levels", "steps", "ref_steps", "paths",
                  "seed", "workers"),
     "hoelder": ("preset", "mesh", "levels", "ref_steps", "paths", "seed",
@@ -356,10 +365,9 @@ _UNREAD = [(study, key) for study, takes in _TAKES.items()
 
 
 def test_each_study_takes_exactly_its_settings():
-    from fvsde.study import SETTINGS
     assert {study: tuple(keys) for study, keys in SETTINGS.items()} == _TAKES
-    assert len(_UNREAD) == 22
-    assert sum(map(len, _TAKES.values())) == 32
+    assert len(_UNREAD) == 23
+    assert sum(map(len, _TAKES.values())) == 31
 
 
 @pytest.mark.parametrize("study, key", _UNREAD)
@@ -393,6 +401,12 @@ def test_one_mesh_study_with_two_levels_exits_2(study, tmp_path, capsys):
     assert main([study, "--levels", "2", "--out", str(out)]) == 2
     assert "levels must be 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_projections_mesh_error_names_no_preset(capsys):
+    assert main(["projections", "--mesh", "4x4x4"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: projections needs a 2-D mesh, got (4, 4, 4)\n")
 
 
 def test_properties_manifest_records_only_its_settings(tmp_path,
@@ -478,7 +492,8 @@ _FUZZ_STUDIES = [s for s in STUDIES if s != "properties"]
 
 @st.composite
 def _study_argv(draw):
-    """A tiny study command line with at most one key drawn from bad values."""
+    """A tiny study command line with the flags of the study's SETTINGS
+    entry and at most one key drawn from bad values."""
     study = draw(st.sampled_from(_FUZZ_STUDIES))
     preset = draw(st.sampled_from(sorted(PRESETS)))
     bad = draw(st.sampled_from([None, "seed", "paths", "levels", "mesh",
@@ -486,7 +501,10 @@ def _study_argv(draw):
     dim = 3 if preset == "heat3d" and study != "projections" else 2
     if bad == "mesh":
         dim = 5 - dim
-    levels = draw(st.integers(1 if bad == "levels" else 2, 3))
+    if study in ONE_MESH:
+        levels = draw(st.sampled_from([0, 2])) if bad == "levels" else 1
+    else:
+        levels = draw(st.integers(1 if bad == "levels" else 2, 3))
     ref_steps = draw(st.sampled_from([8, 16]))
     step_values = [n for n in (1, 2, 4, 8, 16) if ref_steps % n == 0]
     if bad == "steps":
@@ -494,18 +512,22 @@ def _study_argv(draw):
     n_steps = levels if study == "coupled" else draw(st.integers(2, 3))
     seeds = (st.sampled_from([-1, -2**63, 2**64, 2**64 + 7]) if bad == "seed"
              else st.integers(0, 2**64 - 1))
-    argv = [
-        study, "--preset", preset, "--seed", str(draw(seeds)),
-        "--paths", str(draw(st.sampled_from([1, 0]) if bad == "paths"
-                            else st.integers(2, 3))),
-        "--levels", str(levels),
-        "--mesh", "x".join(str(draw(st.integers(1, 4))) for _ in range(dim)),
-        "--steps", ",".join(str(draw(st.sampled_from(step_values)))
-                            for _ in range(n_steps)),
-        "--ref-steps", str(ref_steps),
-        "--workers", str(draw(st.integers(1, 2))),
-    ]
-    if draw(st.booleans()):
+    values = {
+        "preset": preset, "seed": draw(seeds),
+        "paths": draw(st.sampled_from([1, 0]) if bad == "paths"
+                      else st.integers(2, 3)),
+        "levels": levels,
+        "mesh": "x".join(str(draw(st.integers(1, 4))) for _ in range(dim)),
+        "steps": ",".join(str(draw(st.sampled_from(step_values)))
+                          for _ in range(n_steps)),
+        "ref_steps": ref_steps,
+        "workers": draw(st.integers(1, 2)),
+    }
+    argv = [study]
+    for key, value in values.items():
+        if key in SETTINGS[study]:
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    if "left_interpolant" in SETTINGS[study] and draw(st.booleans()):
         argv.append("--left-interpolant")
     return argv
 
